@@ -5,7 +5,7 @@ Core surfaces:
 * laurent / multipoly / basis -- the exact coefficient tower (Laurent
   polynomials, Q[x,...] polynomials and rational functions, divided powers,
   numerical polynomials).
-* series -- truncated Laurent-tailed series with exp/log/compose/inverse over
+* series -- truncated Laurent-tailed series with exp/log/inverse/division over
   pluggable rings, plus Bernoulli numbers.
 * tate_h / tate_k -- the two Tate rings, their boundary/quotient splittings,
   and the machine-checked identities.

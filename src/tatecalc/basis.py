@@ -26,16 +26,6 @@ def binom_int(n: int, k: int) -> int:
     return num // factorial(k)
 
 
-def binom_scalar(n: int | Fraction, k: int) -> Fraction:
-    """Falling-factorial binomial for an exact scalar argument."""
-    if k < 0:
-        raise DomainError("binomial index must be non-negative")
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(n) - i
-    return num / factorial(k)
-
-
 def _clean_int_coords(coords: Mapping[int, int], what: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for k, v in coords.items():
@@ -144,10 +134,6 @@ class DividedPowerElem:
 
     def to_json(self) -> list[list]:
         return [[k, str(v), "1"] for k, v in sorted(self.coords.items())]
-
-
-def dp_mul(x: DividedPowerElem, y: DividedPowerElem) -> DividedPowerElem:
-    return x * y
 
 
 class NumericalPoly:

@@ -13,8 +13,8 @@ import sys
 
 from . import expansions, tate_h, tate_k
 from .errors import TateCalcError
-from .evaluator import EvalError, evaluate, infer_mode, render_value, value_json
-from .parser import ParseError, parse
+from .evaluator import EvalError, evaluate, infer_mode, value_json
+from .parser import parse
 from .verify import SUITE_NAMES, run_suite
 
 _PUNCTURES = {"0": expansions.Puncture.ZERO, "1": expansions.Puncture.ONE,
@@ -64,10 +64,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.json:
         mode = args.ring if args.ring != "auto" else infer_mode(expr)
         payload = {"expr": args.expr, "ring": mode, "order": args.order,
-                   "value": value_json(value), "text": render_value(value)}
+                   "value": value_json(value), "text": str(value)}
         print(json.dumps(payload, indent=2))
     else:
-        print(render_value(value))
+        print(value)
     return 0
 
 
@@ -156,9 +156,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_expand(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (ParseError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TateCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,8 +231,6 @@ class _EvalK(_EvalBase):
     def pow(self, v, n: int):
         if _is_scalar(v):
             return _scalar_pow(v, n)
-        if isinstance(v, int):
-            return _scalar_pow(v, n)
         if isinstance(v, NumericalPoly):
             if n < 0:
                 raise EvalError("numerical polynomials have no negative powers")
@@ -377,14 +375,6 @@ class _EvalSeries(_EvalBase):
 
 
 # -- rendering -----------------------------------------------------------------
-
-
-def render_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    return str(v)
 
 
 def value_json(v):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .report import Check, IdentityReport
+from .report import Check, VerificationReport
 from .series import Ring, TruncSeries, poly_ring
 
 GENS = ("x", "y")
@@ -80,7 +80,7 @@ def t_inv_log_one_plus(order: int) -> TruncSeries:
     return TruncSeries(ring, 0, order, coeffs)
 
 
-def verify_renorm(order: int) -> IdentityReport:
+def verify_renorm(order: int) -> VerificationReport:
     """Division contracts by multiply-back, the diagonal collapse, and the
     three-ratio consistency identity."""
     checks = []
@@ -128,4 +128,4 @@ def verify_renorm(order: int) -> IdentityReport:
             None if inv_ok else "inverse form fails",
         )
     )
-    return IdentityReport("renorm", order, tuple(checks))
+    return VerificationReport("renorm", order, tuple(checks))

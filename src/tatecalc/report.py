@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,18 @@ class Check:
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one verification operation at a fixed truncation order."""
+class VerificationReport:
+    """Outcome of one verification at a fixed truncation order.
 
-    name: str
+    The identity functions of tate_h, tate_k and renorm are deterministic and
+    leave `seed` unset; the seeded suites of `verify` record theirs.
+    """
+
+    suite: str
     order: int
-    checks: tuple[Check, ...] = field(default_factory=tuple)
+    checks: tuple[Check, ...]
+    seed: int | None = None
+    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -41,21 +47,28 @@ class IdentityReport:
         return None
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.name,
+        out = {
+            "suite": self.suite,
             "order": self.order,
+            "seed": self.seed,
             "pass": self.passed,
             "checks": [c.to_json() for c in self.checks],
         }
+        if self.notes:
+            out["notes"] = list(self.notes)
+        return out
 
     def __str__(self) -> str:
-        lines = [f"{self.name} (order {self.order}): {'pass' if self.passed else 'FAIL'}"]
+        lines = [f"suite {self.suite}: order={self.order} seed={self.seed} "
+                 f"-> {'pass' if self.passed else 'FAIL'}"]
         for c in self.checks:
             mark = "ok " if c.passed else "FAIL"
             line = f"  [{mark}] {c.identity}"
-            if c.first_defect and not c.passed:
+            if not c.passed and c.first_defect:
                 line += f" -- first defect: {c.first_defect}"
             if c.note:
-                line += f" ({c.note})"
+                line += f"  ({c.note})"
             lines.append(line)
+        for n in self.notes:
+            lines.append(f"  note: {n}")
         return "\n".join(lines)

@@ -48,12 +48,10 @@ class Ring:
     mul: Callable[[Any, Any], Any]
     eq: Callable[[Any, Any], bool]
     div_int: Callable[[Any, int], Any]
+    from_int: Callable[[int], Any]
     rational: bool = True
     inv: Callable[[Any], Any] | None = None
     div_exact: Callable[[Any, Any], Any] | None = None
-    from_int: Callable[[int], Any] | None = None
-    render: Callable[[Any], str] | None = None
-    to_json: Callable[[Any], Any] | None = None
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -64,26 +62,11 @@ class Ring:
     def is_one(self, a) -> bool:
         return self.eq(a, self.one)
 
-    def int_elem(self, n: int):
-        if self.from_int is not None:
-            return self.from_int(n)
-        return self.mul(self.one, n)
-
-    def text(self, a) -> str:
-        return self.render(a) if self.render else str(a)
-
     def json(self, a):
-        if self.to_json is not None:
-            return self.to_json(a)
         if hasattr(a, "to_json"):
             return a.to_json()
         f = Fraction(a)
         return [str(f.numerator), str(f.denominator)]
-
-
-def _frac_json(a) -> list[str]:
-    f = Fraction(a)
-    return [str(f.numerator), str(f.denominator)]
 
 
 QQ = Ring(
@@ -98,7 +81,6 @@ QQ = Ring(
     inv=lambda a: Fraction(1) / a,
     div_exact=lambda a, b: a / b,
     from_int=Fraction,
-    to_json=_frac_json,
 )
 
 
@@ -127,7 +109,6 @@ ZZ = Ring(
     inv=_zz_inv,
     div_exact=_zz_div_int,
     from_int=int,
-    to_json=_frac_json,
 )
 
 
@@ -220,6 +201,37 @@ def numerical_ring() -> Ring:
         rational=False,
         from_int=lambda n: NumericalPoly({0: n}),
     )
+
+
+def _terms(ring: Ring, coeffs: Sequence, first: int) -> list[tuple[int, Any]]:
+    """The nonzero (index, coefficient) pairs of `coeffs`, indexed from `first`."""
+    return [(j, c) for j, c in enumerate(coeffs, first) if not ring.is_zero(c)]
+
+
+def _accumulate(ring: Ring, n: int, terms: list[tuple[int, Any]],
+                step: Callable[[int, Any], Any]) -> tuple[list, list]:
+    """The series engine's one O(n^2) loop: t_k = step(k, acc[k]) for k < n.
+
+    After each nonzero t_k, t_k * y is scattered into acc[k + j] for every
+    (j, y) of `terms` (nonzero, sorted by j) that lands below n, so zero
+    terms cost nothing.  With every j >= 1, acc[k] is complete when step(k)
+    reads it, which solves a triangular recurrence; with j = 0 allowed and
+    a step that ignores acc, acc is a plain product.  Returns (t, acc).
+    """
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    acc = [ring.zero] * n
+    t = []
+    for k in range(n):
+        x = step(k, acc[k])
+        t.append(x)
+        if is_zero(x):
+            continue
+        for j, y in terms:
+            i = k + j
+            if i >= n:
+                break
+            acc[i] = add(acc[i], mul(x, y))
+    return t, acc
 
 
 class TruncSeries:
@@ -351,25 +363,15 @@ class TruncSeries:
         order = min(self.order + other.low, other.order + self.low)
         if order < low:
             raise DomainError("product has no reliable coefficients")
-        n_out = order - low + 1
-        acc = [ring.zero] * n_out
-        for i, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
-                continue
-            ei = self.low + i
-            for j, b in enumerate(other.coeffs):
-                e = ei + other.low + j
-                if e > order:
-                    break
-                if ring.is_zero(b):
-                    continue
-                acc[e - low] = ring.add(acc[e - low], ring.mul(a, b))
+        a = self.coeffs
+        _, acc = _accumulate(ring, order - low + 1, _terms(ring, other.coeffs, 0),
+                             lambda k, s: a[k])
         return TruncSeries(ring, low, order, acc, self.var)
 
     def scalar_mul(self, value) -> TruncSeries:
         """Multiply by a ring element or int."""
         ring = self.ring
-        elem = ring.int_elem(value) if isinstance(value, int) else value
+        elem = ring.from_int(value) if isinstance(value, int) else value
         return TruncSeries(ring, self.low, self.order, [ring.mul(c, elem) for c in self.coeffs], self.var)
 
     def shifted(self, k: int) -> TruncSeries:
@@ -428,15 +430,10 @@ class TruncSeries:
         lead = self.coeff(v)
         lead_inv = ring.inv(lead)
         m = self.order - v  # relative reliable order of the unit part
-        u = [ring.mul(self.coeff(v + i), lead_inv) for i in range(m + 1)]  # u[0] = 1
-        w = [ring.zero] * (m + 1)
-        w[0] = ring.one
-        for n in range(1, m + 1):
-            s = ring.zero
-            for k in range(1, n + 1):
-                if not ring.is_zero(u[k]):
-                    s = ring.add(s, ring.mul(u[k], w[n - k]))
-            w[n] = ring.neg(s)
+        u = [ring.mul(self.coeff(v + i), lead_inv) for i in range(1, m + 1)]  # u_1..u_m
+        one, neg = ring.one, ring.neg
+        # w_n = -sum_{k=1..n} u_k w_{n-k}, w_0 = 1
+        w, _ = _accumulate(ring, m + 1, _terms(ring, u, 1), lambda n, s: neg(s) if n else one)
         coeffs = [ring.mul(lead_inv, c) for c in w]
         return TruncSeries(ring, -v, m - v, coeffs, self.var)
 
@@ -446,7 +443,7 @@ class TruncSeries:
             expected = constant if k == 0 else self.ring.zero
             if not self.ring.eq(c, expected):
                 raise DomainError(
-                    f"{op} requires constant term {self.ring.text(constant)} and no Laurent tail"
+                    f"{op} requires constant term {constant} and no Laurent tail"
                 )
 
     def exp(self) -> TruncSeries:
@@ -455,17 +452,12 @@ class TruncSeries:
         if not ring.rational:
             raise CapabilityError(f"exp needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("exp", ring.zero)
-        n_top = self.order
-        e = [ring.zero] * (n_top + 1)
-        e[0] = ring.one
-        for n in range(1, n_top + 1):
-            s = ring.zero
-            for k in range(1, n + 1):
-                a_k = self.coeff(k)
-                if not ring.is_zero(a_k):
-                    s = ring.add(s, ring.mul(ring.mul(a_k, ring.int_elem(k)), e[n - k]))
-            e[n] = ring.div_int(s, n)
-        return TruncSeries(ring, 0, n_top, e, self.var)
+        a = [self.coeff(k) for k in range(1, self.order + 1)]
+        ka = [(k, ring.mul(c, ring.from_int(k))) for k, c in _terms(ring, a, 1)]
+        one, div_int = ring.one, ring.div_int
+        # e_n = (sum_{k=1..n} k a_k e_{n-k}) / n, e_0 = 1
+        e, _ = _accumulate(ring, self.order + 1, ka, lambda n, s: div_int(s, n) if n else one)
+        return TruncSeries(ring, 0, self.order, e, self.var)
 
     def log(self) -> TruncSeries:
         """log of a series with constant term 1, over a Q-algebra ring."""
@@ -473,33 +465,13 @@ class TruncSeries:
         if not ring.rational:
             raise CapabilityError(f"log needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("log", ring.one)
-        n_top = self.order
-        l = [ring.zero] * (n_top + 1)
-        for n in range(1, n_top + 1):
-            s = ring.zero
-            for k in range(1, n):
-                if not ring.is_zero(l[k]):
-                    s = ring.add(s, ring.mul(ring.mul(l[k], ring.int_elem(k)), self.coeff(n - k)))
-            l[n] = ring.sub(self.coeff(n), ring.div_int(s, n))
-        return TruncSeries(ring, 0, n_top, l, self.var)
-
-    def compose(self, inner: TruncSeries) -> TruncSeries:
-        """Substitute var := inner (inner must have zero constant term, no tail)."""
-        self._require_ring(inner)
-        ring = self.ring
-        if self.low < 0:
-            raise DomainError("composition with a Laurent-tailed outer series is not defined")
-        inner._check_tail_free("composition inner", ring.zero)
-        v = inner.valuation()
-        if v is None:
-            return TruncSeries.constant(ring, self.coeff(0) if self.low <= 0 else ring.zero,
-                                        inner.order, inner.var)
-        order = min(inner.order, v * (self.order + 1) - 1)
-        result = TruncSeries.constant(ring, self.coeff(self.order), order, inner.var)
-        for k in range(self.order - 1, -1, -1):
-            result = (result * inner).truncated(order)
-            result = result + TruncSeries.constant(ring, self.coeff(k), order, inner.var)
-        return result
+        a = [self.coeff(k) for k in range(self.order + 1)]
+        zero, sub, mul, from_int = ring.zero, ring.sub, ring.mul, ring.from_int
+        # m_n = n l_n = n a_n - sum_{k=1..n-1} m_k a_{n-k}
+        m, _ = _accumulate(ring, self.order + 1, _terms(ring, a[1:], 1),
+                           lambda n, s: sub(mul(a[n], from_int(n)), s) if n else zero)
+        l = [ring.div_int(c, n) if n else c for n, c in enumerate(m)]
+        return TruncSeries(ring, 0, self.order, l, self.var)
 
     def div_exact(self, other: TruncSeries) -> TruncSeries:
         """Exact series division, solving coefficientwise with ring.div_exact.
@@ -518,21 +490,23 @@ class TruncSeries:
         lead = other.coeff(v)
         va = self.valuation()
         if va is None:
-            return TruncSeries.zero(ring, self.order - v, self.var)
+            # zero through order - v, which is negative when v exceeds the
+            # dividend's order: the window then holds that one exponent
+            order = self.order - v
+            low = min(order, 0)
+            return TruncSeries(ring, low, order, [ring.zero] * (order - low + 1), self.var)
         low = va - v
         # beyond this order the recurrence would touch divisor coefficients
         # past the divisor's own reliable order
         order = min(self.order - v, other.order - 2 * v + va)
         if order < low:
             raise DomainError("quotient has no reliable coefficients")
-        q: list = []
-        for n in range(low, order + 1):
-            s = self.coeff(n + v)
-            for j, qj in enumerate(q):
-                b = other.coeff(n + v - (low + j))
-                if not ring.is_zero(qj) and not ring.is_zero(b):
-                    s = ring.sub(s, ring.mul(qj, b))
-            q.append(ring.div_exact(s, lead))
+        # divisor terms past its lead, indexed by their distance from v
+        b = _terms(ring, other.coeffs[v + 1 - other.low:], 1)
+        sub, div, coeff = ring.sub, ring.div_exact, self.coeff
+        # q_n = (a_{n+v} - sum_{d>=1} q_{n-d} b_{v+d}) / b_v
+        q, _ = _accumulate(ring, order - low + 1, b,
+                           lambda n, s: div(sub(coeff(low + n + v), s), lead))
         return TruncSeries(ring, low, order, q, self.var)
 
     # -- rendering ----------------------------------------------------------------
@@ -544,7 +518,7 @@ class TruncSeries:
             c = self.coeff(k)
             if ring.is_zero(c):
                 continue
-            text = ring.text(c)
+            text = str(c)
             scalar_like = all(ch in "0123456789/-" for ch in text)
             if k == 0:
                 piece = text

@@ -19,7 +19,7 @@ from .basis import DividedPowerElem
 from .errors import DomainError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
-from .report import Check, IdentityReport
+from .report import Check, VerificationReport
 from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring, poly_ring
 
 
@@ -233,7 +233,7 @@ def kernel_forces_zero(s: GradedTSeries) -> tuple[bool, int | None]:
     return True, None
 
 
-def verify_prop1(order: int, defect: int | None = None) -> IdentityReport:
+def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
     """Mechanical check that exp(bT) and (1 - c^-1 T)^-1 agree in the Tate ring.
 
     Reproduces the three steps: the difference epsilon has all-zero
@@ -286,7 +286,7 @@ def verify_prop1(order: int, defect: int | None = None) -> IdentityReport:
             note="ker(boundary) series live in degrees k <= 0; epsilon is supported in k >= 0 with zero constant term",
         )
     )
-    return IdentityReport("prop1", order, tuple(checks))
+    return VerificationReport("prop1", order, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def c_series_from_b(order: int) -> CSeriesResult:
     )
 
 
-def verify_corollary(order: int) -> IdentityReport:
+def verify_corollary(order: int) -> VerificationReport:
     """The change of generators b <-> c as two series identities plus the sign
     finding for the Bernoulli closed form."""
     if order < 1:
@@ -393,4 +393,4 @@ def verify_corollary(order: int) -> IdentityReport:
             None if stable else f"signs per order 4..{order}: {signs}",
         )
     )
-    return IdentityReport("corollary", order, tuple(checks))
+    return VerificationReport("corollary", order, tuple(checks))

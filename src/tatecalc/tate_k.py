@@ -16,7 +16,7 @@ from .basis import NumericalPoly, numerical_mul
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly, RationalFunction, binom_poly
-from .report import Check, IdentityReport
+from .report import Check, VerificationReport
 from .series import (
     Ring,
     TruncSeries,
@@ -53,10 +53,6 @@ class TateKElem:
             denom_pow = 0
         self.num = num
         self.denom_pow = denom_pow
-
-    @classmethod
-    def from_laurent(cls, x: LaurentPoly) -> TateKElem:
-        return cls(x, 0)
 
     @classmethod
     def one(cls) -> TateKElem:
@@ -245,7 +241,7 @@ def binomial_poly_series(order: int, negate: bool = False, gen: str = "beta") ->
     return TruncSeries(ring, 0, order, [binom_poly(arg, k) for k in range(order + 1)])
 
 
-def cartier_check(order0: int, order1: int) -> IdentityReport:
+def cartier_check(order0: int, order1: int) -> VerificationReport:
     """The character relation beta(T0 +_Gm T1) = beta(T0) * beta(T1) with
     T0 +_Gm T1 = T0 + T1 + T0*T1, compared coefficientwise in Z[beta_*]."""
     if order0 < 1 or order1 < 1:
@@ -286,7 +282,7 @@ def cartier_check(order0: int, order1: int) -> IdentityReport:
         first_defect,
         note=f"all bi-orders up to ({order0},{order1})",
     )
-    return IdentityReport("cartier", max(order0, order1), (check,))
+    return VerificationReport("cartier", max(order0, order1), (check,))
 
 
 def q_hat_inv_poly(order: int) -> TruncSeries:
@@ -296,7 +292,7 @@ def q_hat_inv_poly(order: int) -> TruncSeries:
     return (one - inv_pow).shifted(-1).truncated(order)
 
 
-def verify_prop2(order: int, defect: int | None = None) -> IdentityReport:
+def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
     """Both readings of (1 - q^-1 T)^-1 = (1+T)^beta.
 
     Coordinates: the geometric series has the all-ones sequence on q^-k and
@@ -356,7 +352,7 @@ def verify_prop2(order: int, defect: int | None = None) -> IdentityReport:
             None if vandermonde_ok else "binomial convolution does not telescope",
         )
     )
-    return IdentityReport("prop2", order, tuple(checks))
+    return VerificationReport("prop2", order, tuple(checks))
 
 
 def q_hat_inv_ratfun(order: int) -> TruncSeries:
@@ -369,6 +365,8 @@ def q_hat_inv_ratfun(order: int) -> TruncSeries:
 def q_series(order: int) -> TruncSeries:
     """q = T (1 - (1+T)^-beta)^-1 as the reciprocal of the q^-1 series;
     the leading coefficient is 1/beta."""
+    if order < 0:
+        raise DomainError("order must be non-negative")
     return q_hat_inv_ratfun(order).inverse()
 
 

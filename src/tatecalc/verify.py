@@ -12,13 +12,12 @@ report note); caps sit at or above every order the acceptance criteria pin.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import expansions, renorm, tate_h, tate_k
 from .basis import DividedPowerElem
 from .errors import TateCalcError
 from .laurent import LaurentPoly
-from .report import Check
+from .report import Check, VerificationReport
 from .series import TruncSeries, ZZ
 from .tate_k import TateKElem
 
@@ -35,46 +34,6 @@ SUITE_NAMES = (
     "renorm",
     "all",
 )
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    order: int
-    seed: int
-    checks: tuple[Check, ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "order": self.order,
-            "seed": self.seed,
-            "pass": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
-
-    def __str__(self) -> str:
-        lines = [f"suite {self.suite}: order={self.order} seed={self.seed} "
-                 f"-> {'pass' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            mark = "ok " if c.passed else "FAIL"
-            line = f"  [{mark}] {c.identity}"
-            if not c.passed and c.first_defect:
-                line += f" -- first defect: {c.first_defect}"
-            if c.note:
-                line += f"  ({c.note})"
-            lines.append(line)
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return "\n".join(lines)
 
 
 # -- random generators ---------------------------------------------------------
@@ -393,7 +352,7 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
                 Check(f"{sub}/{c.identity}", c.passed, c.first_defect, c.note) for c in rep.checks
             )
             notes.extend(f"{sub}: {n}" for n in rep.notes)
-        return VerificationReport("all", order, seed, tuple(checks), tuple(notes))
+        return VerificationReport("all", order, tuple(checks), seed, tuple(notes))
     if name not in _SUITES:
         raise TateCalcError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     rng = random.Random(seed)
@@ -401,4 +360,4 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
     notes = []
     if name in _CAP_NOTES:
         notes.append(_CAP_NOTES[name])
-    return VerificationReport(name, order, seed, tuple(checks), tuple(notes))
+    return VerificationReport(name, order, tuple(checks), seed, tuple(notes))

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly, RationalFunction
 from tatecalc.series import bernoulli_minus
 from tatecalc.tate_k import TateKElem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @contextmanager
@@ -210,6 +213,7 @@ def test_criterion_13_cli_end_to_end(capsys):
         out2 = capsys.readouterr().out
         assert code2 == 0
         assert out1 == out2  # byte-identical report
+        assert out1 == (GOLDEN / "verify_all_o64.json").read_text()
 
         assert main(["verify", "prop1", "--order", "8", "--defect", "2"]) == 1
         capsys.readouterr()

@@ -15,7 +15,6 @@ from tatecalc.basis import (
     NotIntegral,
     NumericalPoly,
     binom_int,
-    binom_scalar,
     numerical_mul,
     to_binomial_basis,
 )
@@ -141,20 +140,6 @@ def test_binomial_basis_round_trip():
 
 
 # -- scalar binomials ------------------------------------------------------------------
-
-
-def test_binom_scalar_values():
-    assert binom_scalar(5, 2) == 10
-    assert binom_scalar(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binom_scalar(7, 0) == 1
-
-
-def test_binom_scalar_pascal_recurrence():
-    for n in range(0, 15):
-        for k in range(1, 12):
-            assert binom_scalar(n, k) == binom_scalar(n - 1, k - 1) + binom_scalar(n - 1, k)
-            if n >= k:
-                assert binom_scalar(n, k) == comb(n, k)
 
 
 def test_binom_int_negative_arguments():

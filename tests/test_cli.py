@@ -135,6 +135,13 @@ def test_report_q_integrality(capsys):
     assert k1["polynomial"] is True and k1["integral"] is False
 
 
+def test_report_q_integrality_rejects_negative_order(capsys):
+    code, out, err = run(capsys, "report", "q-integrality", "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: order must be non-negative"
+
+
 def test_report_signs(capsys):
     code, out, _ = run(capsys, "report", "corollary-sign", "--order", "8")
     assert code == 0

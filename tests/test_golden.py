@@ -1,0 +1,35 @@
+"""Byte-exact CLI snapshots.
+
+Each case runs the CLI in process and compares stdout with a file under
+`tests/golden/`.  The cases reach every series kernel (multiply, inverse,
+exp, log, exact division) and every report, so a refactor of the engine
+that changes any printed coefficient, order or verdict fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tatecalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"]),
+    ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"]),
+    ("q_integrality_o16.txt", ["report", "q-integrality", "--order", "16"]),
+    ("q_integrality_o16.json", ["report", "q-integrality", "--order", "16", "--json"]),
+    ("corollary_sign_o12.json", ["report", "corollary-sign", "--order", "12", "--json"]),
+    ("expansion_sign_o8.txt", ["report", "expansion-sign", "--order", "8"]),
+    ("eval_exp_bT_geom.txt", ["eval", "exp(b*T)*geom(cinv)", "--order", "24"]),
+    ("eval_log_poly.json", ["eval", "log(1+b*T+c*T^2)", "--order", "6", "--json"]),
+    ("eval_laurent_div.txt", ["eval", "T^-2*exp(T)/(1+T)", "--order", "5"]),
+    ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"]),
+    ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

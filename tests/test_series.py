@@ -1,9 +1,9 @@
-"""Series engine: arithmetic, inversion, exp/log, composition, Bernoulli.
+"""Series engine: arithmetic, inversion, exp/log, exact division, Bernoulli.
 
 Oracles used here and nowhere in the implementation:
   * Mercator series for log(1 - xT),
   * the Pascal-recurrence Bernoulli numbers (sum_j C(n+1,j) B_j = 0),
-  * classical compose identities checked coefficientwise.
+  * the brute-force double sum for products of Laurent-tailed series.
 """
 
 import random
@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tatecalc.errors import (
     CapabilityError,
@@ -204,37 +204,6 @@ def test_exp_zero_is_one():
     assert TruncSeries.zero(QQ, 6).exp().is_one_series()
 
 
-# -- composition --------------------------------------------------------------------------
-
-
-def test_compose_with_square():
-    geo = geometric_series(QQ, Fraction(1), 6)
-    t2 = qq(2, [1], order=13)
-    composed = geo.compose(t2)
-    for k in range(composed.order + 1):
-        assert composed.coeff(k) == (1 if k % 2 == 0 else 0)
-
-
-def test_compose_exp_with_log_order_16():
-    e = qq(1, [1], order=16).exp()                   # exp(T)
-    l = qq(0, [1, 1], order=16).log()                # log(1+T)
-    composed = e.compose(l)
-    assert composed.coeff(0) == 1 and composed.coeff(1) == 1
-    assert all(composed.coeff(k) == 0 for k in range(2, composed.order + 1))
-
-
-def test_compose_with_zero_inner():
-    f = qq(0, [7, 1, 2], order=4)
-    z = TruncSeries.zero(QQ, 9)
-    assert f.compose(z).coeff(0) == 7
-
-
-def test_compose_rejects_bad_inner():
-    f = qq(0, [1, 1], order=4)
-    with pytest.raises(DomainError):
-        f.compose(qq(0, [1, 1], order=4))  # nonzero constant term
-
-
 # -- division ---------------------------------------------------------------------------
 
 
@@ -254,6 +223,85 @@ def test_div_exact_multiply_back():
         a = b * q_true
         q = a.div_exact(b)
         assert q.agrees_with(q_true)
+
+
+# -- kernel index arithmetic -------------------------------------------------------------
+
+_VALUES = {
+    "ZZ": st.integers(-4, 4),
+    "QQ": st.fractions(-4, 4, max_denominator=3),
+}
+
+
+@st.composite
+def sparse_series(draw, ring, min_zeros=0, lead=None):
+    """A mostly-zero series over ZZ or QQ whose window often starts below 0,
+    opening with `min_zeros` or more zero coefficients, then `lead` if given."""
+    values = _VALUES[ring.name]
+    low = draw(st.integers(-4, 3))
+    head = [0] * draw(st.integers(min_zeros, 3))
+    if lead is not None:
+        head.append(draw(lead))
+    body = draw(st.lists(st.one_of(st.just(0), values), min_size=0 if head else 1, max_size=8))
+    return TruncSeries.from_coeffs(ring, low, [ring.from_int(0) + c for c in head + body])
+
+
+def _nonzero(ring):
+    return st.sampled_from([1, -1]) if ring is ZZ else _VALUES["QQ"].filter(bool)
+
+
+RINGS = pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_product_matches_double_sum(ring, data):
+    a = data.draw(sparse_series(ring))
+    b = data.draw(sparse_series(ring))
+    low = a.low + b.low
+    order = min(a.order + b.low, b.order + a.low)
+    expected = [
+        sum((a.coeff(i) * b.coeff(e - i) for i in range(a.low, a.order + 1)
+             if b.low <= e - i <= b.order), ring.zero)
+        for e in range(low, order + 1)
+    ]
+    prod = a * b
+    assert (prod.low, prod.order) == (low, order)
+    assert list(prod.coeffs) == expected
+
+
+@RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_times_inverse_is_one(ring, data):
+    a = data.draw(sparse_series(ring, lead=_nonzero(ring)))
+    prod = a * a.inverse()
+    assert all(prod.coeff(k) == (1 if k == 0 else 0) for k in range(prod.low, prod.order + 1))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_exp_log_recovers_one_plus_x(data):
+    x = data.draw(sparse_series(QQ))
+    assume(x.order >= 0)
+    # log needs constant term 1 and no Laurent tail: the window below T^1 keeps only zeros
+    x = TruncSeries(QQ, x.low, x.order,
+                    [c if k >= 1 else QQ.zero for k, c in enumerate(x.coeffs, x.low)])
+    one_plus = TruncSeries.one(QQ, x.order) + x
+    assert one_plus.log().exp().agrees_with(one_plus)
+
+
+@RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_div_exact_recovers_factor_past_divisor_zeros(ring, data):
+    a = data.draw(sparse_series(ring))
+    b = data.draw(sparse_series(ring, min_zeros=1, lead=_VALUES[ring.name].filter(bool)))
+    assert b.valuation() > b.low
+    q = (a * b).div_exact(b)
+    assert q.agrees_with(a)
 
 
 # -- Bernoulli ---------------------------------------------------------------------------
