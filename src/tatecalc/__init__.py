@@ -3,8 +3,9 @@
 Core surfaces:
 
 * laurent / multipoly / basis -- the exact coefficient tower (Laurent
-  polynomials, Q[x,...] polynomials and rational functions, divided powers,
-  numerical polynomials).
+  polynomials, Q[x,...] polynomials, divided powers, numerical polynomials),
+  plus RationalFunction, the canonical num/den form the q-integrality report
+  prints.
 * series -- truncated Laurent-tailed series with exp/log/inverse/division over
   pluggable rings, plus Bernoulli numbers.
 * tate_h / tate_k -- the two Tate rings, their boundary/quotient splittings,

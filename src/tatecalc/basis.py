@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
+from .arith import power
 from .errors import DomainError, InexactDivisionError
 from .laurent import render_terms
 from .multipoly import MultiPoly
@@ -112,10 +113,9 @@ class DividedPowerElem:
     def __pow__(self, n: int) -> DividedPowerElem:
         if n < 0:
             raise DomainError("divided-power elements only take non-negative powers")
-        result = DividedPowerElem.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        if n == 0:
+            return DividedPowerElem.one()
+        return power(self, n)
 
     def div_int_exact(self, n: int) -> DividedPowerElem:
         out = {}

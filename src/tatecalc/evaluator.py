@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expansions, tate_h, tate_k
+from .arith import power
 from .basis import DividedPowerElem, NumericalPoly
 from .errors import TateCalcError
 from .laurent import LaurentPoly
@@ -234,10 +235,7 @@ class _EvalK(_EvalBase):
         if isinstance(v, NumericalPoly):
             if n < 0:
                 raise EvalError("numerical polynomials have no negative powers")
-            out = NumericalPoly.one()
-            for _ in range(n):
-                out = out * v
-            return out
+            return power(v, n) if n else NumericalPoly.one()
         return v**n
 
     def call(self, e: Call):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .arith import power
 from .errors import InexactDivisionError, NotInvertibleError, VariableMismatchError
 
 Scalar = int | Fraction
@@ -124,14 +125,9 @@ class LaurentPoly:
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return LaurentPoly.one(self.var)
+        return power(self, n)
 
     def inverse(self) -> LaurentPoly:
         """Invert a unit.  Only monomials with invertible coefficient qualify."""

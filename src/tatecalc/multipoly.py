@@ -1,4 +1,4 @@
-"""Multivariate polynomials over Q and univariate rational functions.
+"""Multivariate polynomials over Q, and the canonical display form of a quotient.
 
 MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
 generator tuple.  Multiplication rescales both operands to integer
@@ -6,9 +6,10 @@ coefficients first so the inner convolution runs on machine/big ints; for
 univariate operands it switches to a dense convolution.  These are the hot
 paths of the order-64 series checks.
 
-RationalFunction is the fraction field of Q[beta] in canonical form: numerator
-and denominator coprime with integer coefficients of content 1, denominator
-leading coefficient positive.
+RationalFunction is not a coefficient ring: it puts a univariate num/den pair
+in canonical form (coprime, integer coefficients of content 1, denominator
+leading coefficient positive), which is how the q-integrality report prints
+its coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
-from .laurent import render_terms
+from .arith import power
+from .laurent import LaurentPoly, render_terms
 
 Expo = tuple[int, ...]
 
@@ -184,14 +186,9 @@ class MultiPoly:
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
             raise NotInvertibleError("negative powers are not defined in a polynomial ring")
-        result = MultiPoly.const(self.gens, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return MultiPoly.const(self.gens, 1)
+        return power(self, n)
 
     def div_int(self, n: int) -> MultiPoly:
         if n == 0:
@@ -294,6 +291,12 @@ class MultiPoly:
     def from_dense(cls, gen: str, coeffs: Iterable[Fraction | int]) -> MultiPoly:
         return cls((gen,), {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
 
+    def to_laurent(self) -> LaurentPoly:
+        """The same univariate polynomial as a Laurent polynomial in its generator."""
+        if len(self.gens) != 1:
+            raise DomainError("Laurent form requires a univariate polynomial")
+        return LaurentPoly(self.gens[0], {e: v for (e,), v in self.terms.items()})
+
     def __str__(self) -> str:
         def mono(expo: Expo) -> str:
             return "*".join(_gen_power(g, e) for g, e in zip(self.gens, expo) if e)
@@ -353,7 +356,7 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 class RationalFunction:
-    """Quotient of univariate polynomials in canonical integer-coprime form."""
+    """num/den of univariate polynomials in canonical integer-coprime form."""
 
     __slots__ = ("num", "den")
 
@@ -386,18 +389,6 @@ class RationalFunction:
         self.num = MultiPoly(num.gens, {e: Fraction(v, content) for e, v in nn.items()})
         self.den = MultiPoly(num.gens, {e: Fraction(v, content) for e, v in dd.items()})
 
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> RationalFunction:
-        return cls(p, MultiPoly.const(p.gens, 1))
-
-    @classmethod
-    def const(cls, gen: str, value: Fraction | int) -> RationalFunction:
-        one = MultiPoly.const((gen,), 1)
-        return cls(MultiPoly.const((gen,), value), one)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 
@@ -409,58 +400,9 @@ class RationalFunction:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self == RationalFunction.from_poly(
-                other if isinstance(other, MultiPoly) else MultiPoly.const(self.num.gens, other)
-            )
         return NotImplemented
 
     __hash__ = None
-
-    def _coerce(self, other) -> RationalFunction:
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(self.num.gens[0], other)
-        raise TypeError(f"cannot coerce {other!r} to a rational function")
-
-    def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other) -> RationalFunction:
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> RationalFunction:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> RationalFunction:
-        return (-self) + other
-
-    def __mul__(self, other) -> RationalFunction:
-        if isinstance(other, int):
-            return RationalFunction(self.num * other, self.den)
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RationalFunction:
-        if self.is_zero():
-            raise NotInvertibleError("zero has no inverse")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other) -> RationalFunction:
-        return self * self._coerce(other).inverse()
-
-    def div_int(self, n: int) -> RationalFunction:
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        return RationalFunction(self.num, self.den * n)
 
     def __str__(self) -> str:
         if self.is_polynomial():
@@ -474,6 +416,3 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -5,19 +5,20 @@ reliable order as data: every binary operation computes the output's order
 pessimistically from its inputs, and reading past the reliable order raises
 PrecisionError.  Coefficients below `low` are exactly zero by construction.
 
-Coefficient rings are described by a Ring record of callables, so the same
-engine runs over Q, Q[x], Q[x,y], rational functions of beta, Laurent rings,
-divided powers, and numerical polynomials.
+Coefficient rings are described by a Ring record: the elements' own + - * ==
+do the arithmetic, and the record supplies what differs between rings (names,
+constants, division, inverses).  The same engine runs over Q, Z, Q[x], Q[x,y],
+Laurent rings such as Q[beta^±1], divided powers, and numerical polynomials.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Sequence
 
+from .arith import power
 from .basis import DividedPowerElem, NumericalPoly
 from .errors import (
     CapabilityError,
@@ -28,12 +29,12 @@ from .errors import (
     RingMismatchError,
 )
 from .laurent import LaurentPoly
-from .multipoly import MultiPoly, RationalFunction
+from .multipoly import MultiPoly
 
 
 @dataclass(frozen=True)
 class Ring:
-    """Operations contract for a coefficient ring.
+    """Operations contract for a coefficient ring whose elements support + - * ==.
 
     `rational` marks rings with exact division by every nonzero integer;
     exp/log are typed errors without it.  `inv` and `div_exact` are partial:
@@ -43,24 +44,17 @@ class Ring:
     name: str
     zero: Any
     one: Any
-    add: Callable[[Any, Any], Any]
-    neg: Callable[[Any], Any]
-    mul: Callable[[Any, Any], Any]
-    eq: Callable[[Any, Any], bool]
     div_int: Callable[[Any, int], Any]
     from_int: Callable[[int], Any]
     rational: bool = True
     inv: Callable[[Any], Any] | None = None
     div_exact: Callable[[Any, Any], Any] | None = None
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
+        return a == self.zero
 
     def is_one(self, a) -> bool:
-        return self.eq(a, self.one)
+        return a == self.one
 
     def json(self, a):
         if hasattr(a, "to_json"):
@@ -73,10 +67,6 @@ QQ = Ring(
     name="QQ",
     zero=Fraction(0),
     one=Fraction(1),
-    add=operator.add,
-    neg=operator.neg,
-    mul=operator.mul,
-    eq=operator.eq,
     div_int=lambda a, n: a / n,
     inv=lambda a: Fraction(1) / a,
     div_exact=lambda a, b: a / b,
@@ -100,10 +90,6 @@ ZZ = Ring(
     name="ZZ",
     zero=0,
     one=1,
-    add=operator.add,
-    neg=operator.neg,
-    mul=operator.mul,
-    eq=operator.eq,
     div_int=_zz_div_int,
     rational=False,
     inv=_zz_inv,
@@ -118,10 +104,6 @@ def poly_ring(*gens: str) -> Ring:
         name="QQ[" + ",".join(gens) + "]",
         zero=MultiPoly.zero(gens),
         one=MultiPoly.const(gens, 1),
-        add=operator.add,
-        neg=operator.neg,
-        mul=operator.mul,
-        eq=operator.eq,
         div_int=lambda a, n: a.div_int(n),
         inv=_poly_inv,
         div_exact=lambda a, b: a.div_exact(b),
@@ -135,36 +117,16 @@ def _poly_inv(a: MultiPoly) -> MultiPoly:
     return MultiPoly.const(a.gens, Fraction(1) / a.constant_value())
 
 
-def ratfun_ring(gen: str = "beta") -> Ring:
-    return Ring(
-        name=f"QQ({gen})",
-        zero=RationalFunction.const(gen, 0),
-        one=RationalFunction.const(gen, 1),
-        add=operator.add,
-        neg=operator.neg,
-        mul=operator.mul,
-        eq=operator.eq,
-        div_int=lambda a, n: a.div_int(n),
-        inv=lambda a: a.inverse(),
-        div_exact=lambda a, b: a / b,
-        from_int=lambda n: RationalFunction.const(gen, n),
-    )
-
-
 def laurent_coeff_ring(var: str, integral: bool = False) -> Ring:
-    base = "ZZ" if integral else "QQ"
-
-    def div_int(a: LaurentPoly, n: int) -> LaurentPoly:
-        return a.div_scalar_exact(n)
-
+    """Z[var^±1] (integer division only where exact) or Q[var^±1]."""
+    if integral:
+        base, div_int = "ZZ", LaurentPoly.div_scalar_exact
+    else:
+        base, div_int = "QQ", lambda a, n: a * Fraction(1, n)
     return Ring(
         name=f"{base}[{var}^±1]",
         zero=LaurentPoly.zero(var),
         one=LaurentPoly.one(var),
-        add=operator.add,
-        neg=operator.neg,
-        mul=operator.mul,
-        eq=operator.eq,
         div_int=div_int,
         rational=not integral,
         inv=lambda a: a.inverse(),
@@ -178,10 +140,6 @@ def divided_power_ring() -> Ring:
         name="Z[b_*]",
         zero=DividedPowerElem.zero(),
         one=DividedPowerElem.one(),
-        add=operator.add,
-        neg=operator.neg,
-        mul=operator.mul,
-        eq=operator.eq,
         div_int=lambda a, n: a.div_int_exact(n),
         rational=False,
         from_int=lambda n: DividedPowerElem({0: n}),
@@ -193,10 +151,6 @@ def numerical_ring() -> Ring:
         name="Z[beta_*]",
         zero=NumericalPoly.zero(),
         one=NumericalPoly.one(),
-        add=operator.add,
-        neg=operator.neg,
-        mul=operator.mul,
-        eq=operator.eq,
         div_int=lambda a, n: a.div_int_exact(n),
         rational=False,
         from_int=lambda n: NumericalPoly({0: n}),
@@ -218,19 +172,19 @@ def _accumulate(ring: Ring, n: int, terms: list[tuple[int, Any]],
     reads it, which solves a triangular recurrence; with j = 0 allowed and
     a step that ignores acc, acc is a plain product.  Returns (t, acc).
     """
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    acc = [ring.zero] * n
+    zero = ring.zero
+    acc = [zero] * n
     t = []
     for k in range(n):
         x = step(k, acc[k])
         t.append(x)
-        if is_zero(x):
+        if x == zero:
             continue
         for j, y in terms:
             i = k + j
             if i >= n:
                 break
-            acc[i] = add(acc[i], mul(x, y))
+            acc[i] = acc[i] + x * y
     return t, acc
 
 
@@ -311,9 +265,7 @@ class TruncSeries:
         if self.ring.name != other.ring.name or self.order != other.order:
             return False
         lo = min(self.low, other.low)
-        return all(
-            self.ring.eq(self.coeff(k), other.coeff(k)) for k in range(lo, self.order + 1)
-        )
+        return all(self.coeff(k) == other.coeff(k) for k in range(lo, self.order + 1))
 
     __hash__ = None
 
@@ -322,7 +274,7 @@ class TruncSeries:
         self._require_ring(other)
         top = min(self.order, other.order) if through is None else through
         lo = min(self.low, other.low)
-        return all(self.ring.eq(self.coeff(k), other.coeff(k)) for k in range(lo, top + 1))
+        return all(self.coeff(k) == other.coeff(k) for k in range(lo, top + 1))
 
     def is_zero_series(self) -> bool:
         return self.valuation() is None
@@ -333,7 +285,7 @@ class TruncSeries:
     # -- ring operations -------------------------------------------------------
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(self.ring, self.low, self.order, [self.ring.neg(c) for c in self.coeffs], self.var)
+        return TruncSeries(self.ring, self.low, self.order, [-c for c in self.coeffs], self.var)
 
     def __add__(self, other: TruncSeries) -> TruncSeries:
         if not isinstance(other, TruncSeries):
@@ -343,7 +295,7 @@ class TruncSeries:
         order = min(self.order, other.order)
         if order < low:
             raise DomainError("operands share no reliable coefficient range")
-        coeffs = [self.ring.add(self.coeff(k), other.coeff(k)) for k in range(low, order + 1)]
+        coeffs = [self.coeff(k) + other.coeff(k) for k in range(low, order + 1)]
         return TruncSeries(self.ring, low, order, coeffs, self.var)
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
@@ -372,7 +324,7 @@ class TruncSeries:
         """Multiply by a ring element or int."""
         ring = self.ring
         elem = ring.from_int(value) if isinstance(value, int) else value
-        return TruncSeries(ring, self.low, self.order, [ring.mul(c, elem) for c in self.coeffs], self.var)
+        return TruncSeries(ring, self.low, self.order, [c * elem for c in self.coeffs], self.var)
 
     def shifted(self, k: int) -> TruncSeries:
         """Multiply by var^k (exactly)."""
@@ -400,16 +352,7 @@ class TruncSeries:
             return self.inverse() ** (-n)
         if n == 0:
             return TruncSeries.one(self.ring, self.order, self.var)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
-        return result
+        return power(self, n)
 
     def map_coeffs(self, fn: Callable, ring: Ring | None = None, var: str | None = None) -> TruncSeries:
         return TruncSeries(
@@ -430,18 +373,18 @@ class TruncSeries:
         lead = self.coeff(v)
         lead_inv = ring.inv(lead)
         m = self.order - v  # relative reliable order of the unit part
-        u = [ring.mul(self.coeff(v + i), lead_inv) for i in range(1, m + 1)]  # u_1..u_m
-        one, neg = ring.one, ring.neg
+        u = [self.coeff(v + i) * lead_inv for i in range(1, m + 1)]  # u_1..u_m
+        one = ring.one
         # w_n = -sum_{k=1..n} u_k w_{n-k}, w_0 = 1
-        w, _ = _accumulate(ring, m + 1, _terms(ring, u, 1), lambda n, s: neg(s) if n else one)
-        coeffs = [ring.mul(lead_inv, c) for c in w]
+        w, _ = _accumulate(ring, m + 1, _terms(ring, u, 1), lambda n, s: -s if n else one)
+        coeffs = [lead_inv * c for c in w]
         return TruncSeries(ring, -v, m - v, coeffs, self.var)
 
     def _check_tail_free(self, op: str, constant) -> None:
         for k in range(min(self.low, 0), 1):
             c = self.coeff(k)
             expected = constant if k == 0 else self.ring.zero
-            if not self.ring.eq(c, expected):
+            if c != expected:
                 raise DomainError(
                     f"{op} requires constant term {constant} and no Laurent tail"
                 )
@@ -453,7 +396,7 @@ class TruncSeries:
             raise CapabilityError(f"exp needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("exp", ring.zero)
         a = [self.coeff(k) for k in range(1, self.order + 1)]
-        ka = [(k, ring.mul(c, ring.from_int(k))) for k, c in _terms(ring, a, 1)]
+        ka = [(k, c * ring.from_int(k)) for k, c in _terms(ring, a, 1)]
         one, div_int = ring.one, ring.div_int
         # e_n = (sum_{k=1..n} k a_k e_{n-k}) / n, e_0 = 1
         e, _ = _accumulate(ring, self.order + 1, ka, lambda n, s: div_int(s, n) if n else one)
@@ -466,10 +409,10 @@ class TruncSeries:
             raise CapabilityError(f"log needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("log", ring.one)
         a = [self.coeff(k) for k in range(self.order + 1)]
-        zero, sub, mul, from_int = ring.zero, ring.sub, ring.mul, ring.from_int
+        zero, from_int = ring.zero, ring.from_int
         # m_n = n l_n = n a_n - sum_{k=1..n-1} m_k a_{n-k}
         m, _ = _accumulate(ring, self.order + 1, _terms(ring, a[1:], 1),
-                           lambda n, s: sub(mul(a[n], from_int(n)), s) if n else zero)
+                           lambda n, s: a[n] * from_int(n) - s if n else zero)
         l = [ring.div_int(c, n) if n else c for n, c in enumerate(m)]
         return TruncSeries(ring, 0, self.order, l, self.var)
 
@@ -503,10 +446,10 @@ class TruncSeries:
             raise DomainError("quotient has no reliable coefficients")
         # divisor terms past its lead, indexed by their distance from v
         b = _terms(ring, other.coeffs[v + 1 - other.low:], 1)
-        sub, div, coeff = ring.sub, ring.div_exact, self.coeff
+        div, coeff = ring.div_exact, self.coeff
         # q_n = (a_{n+v} - sum_{d>=1} q_{n-d} b_{v+d}) / b_v
         q, _ = _accumulate(ring, order - low + 1, b,
-                           lambda n, s: div(sub(coeff(low + n + v), s), lead))
+                           lambda n, s: div(coeff(low + n + v) - s, lead))
         return TruncSeries(ring, low, order, q, self.var)
 
     # -- rendering ----------------------------------------------------------------
@@ -557,7 +500,7 @@ class TruncSeries:
 
 def geometric_series(ring: Ring, ratio, order: int, var: str = "T") -> TruncSeries:
     """(1 - ratio*var)^(-1) = sum_k ratio^k var^k, computed by series inversion."""
-    one_minus = TruncSeries.from_coeffs(ring, 0, [ring.one, ring.neg(ratio)], var, order=order)
+    one_minus = TruncSeries.from_coeffs(ring, 0, [ring.one, -ratio], var, order=order)
     return one_minus.inverse()
 
 

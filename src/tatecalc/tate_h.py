@@ -327,11 +327,7 @@ def c_series_from_b(order: int) -> CSeriesResult:
     minus_bt = TruncSeries.from_coeffs(poly_b, 1, [-b], order=order + 1)
     c_hat_inv = (TruncSeries.one(poly_b, order + 1) - minus_bt.exp()).shifted(-1)
     c_hat_inv = c_hat_inv.truncated(order)
-
-    def to_laurent(p: MultiPoly) -> LaurentPoly:
-        return LaurentPoly("b", {e[0]: v for e, v in p.terms.items()})
-
-    c_hat = c_hat_inv.map_coeffs(to_laurent, laur_b).inverse()
+    c_hat = c_hat_inv.map_coeffs(MultiPoly.to_laurent, laur_b).inverse()
 
     # Bernoulli form: s * b^-1 * B(-bT); B(D) = sum (B_n/n!) D^n, so the T^n
     # coefficient is s * (-1)^n (B_n/n!) b^(n-1)

@@ -10,22 +10,14 @@ The quotient map mirrors the H-side boundary through the convention
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .arith import power
 from .basis import NumericalPoly, numerical_mul
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly, RationalFunction, binom_poly
 from .report import Check, VerificationReport
-from .series import (
-    Ring,
-    TruncSeries,
-    geometric_series,
-    laurent_coeff_ring,
-    numerical_ring,
-    poly_ring,
-    ratfun_ring,
-)
+from .series import TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring, poly_ring
 
 ONE_MINUS_Q = LaurentPoly("q", {0: 1, 1: -1})
 
@@ -139,14 +131,9 @@ class TateKElem:
     def __pow__(self, n: int) -> TateKElem:
         if n < 0:
             return self.inverse() ** (-n)
-        result = TateKElem.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return TateKElem.one()
+        return power(self, n)
 
     def __str__(self) -> str:
         if self.denom_pow == 0:
@@ -355,19 +342,17 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
     return VerificationReport("prop2", order, tuple(checks))
 
 
-def q_hat_inv_ratfun(order: int) -> TruncSeries:
-    """The q^-1 series with coefficients in the rational-function field."""
-    poly = q_hat_inv_poly(order)
-    ring = ratfun_ring("beta")
-    return poly.map_coeffs(RationalFunction.from_poly, ring)
-
-
 def q_series(order: int) -> TruncSeries:
-    """q = T (1 - (1+T)^-beta)^-1 as the reciprocal of the q^-1 series;
-    the leading coefficient is 1/beta."""
+    """q = T (1 - (1+T)^-beta)^-1 as the reciprocal of the q^-1 series.
+
+    Every coefficient of the q^-1 series is divisible by beta, so the
+    reciprocal lies in beta^-1 Q[beta][[T]] and is computed over Q[beta^±1];
+    the leading coefficient is beta^-1.
+    """
     if order < 0:
         raise DomainError("order must be non-negative")
-    return q_hat_inv_ratfun(order).inverse()
+    ring = laurent_coeff_ring("beta")
+    return q_hat_inv_poly(order).map_coeffs(MultiPoly.to_laurent, ring).inverse()
 
 
 @dataclass(frozen=True)
@@ -423,22 +408,26 @@ def integrality_report(order: int) -> IntegralityReport:
     from .basis import NotIntegral, to_binomial_basis
 
     q = q_series(order)
-    beta = RationalFunction.from_poly(MultiPoly.var(("beta",), "beta"))
+    gens = ("beta",)
     entries = []
-    for label, series in (("q", q), ("beta*q", q.scalar_mul(beta))):
+    for label, series in (("q", q), ("beta*q", q.scalar_mul(LaurentPoly("beta", {1: 1})))):
         for k in range(0, order + 1):
-            rf: RationalFunction = series.coeff(k)
-            if rf.is_polynomial():
-                conv = to_binomial_basis(rf.as_polynomial())
+            c: LaurentPoly = series.coeff(k)
+            # c = num / beta^m with num a polynomial; m = 0 exactly when c is one
+            m = max(0, -c.lo())
+            num = MultiPoly(gens, {(e + m,): v for e, v in c.coeffs.items()})
+            value = str(RationalFunction(num, MultiPoly(gens, {(m,): 1})))
+            if c.lo() >= 0:
+                conv = to_binomial_basis(num)
                 if isinstance(conv, NotIntegral):
                     coords = tuple((k2, str(v)) for k2, v in conv.coords)
                     integral = False
                 else:
                     coords = tuple((k2, str(v)) for k2, v in sorted(conv.coords.items()))
                     integral = True
-                entries.append(IntegralityEntry(label, k, str(rf), True, coords, integral))
+                entries.append(IntegralityEntry(label, k, value, True, coords, integral))
             else:
-                entries.append(IntegralityEntry(label, k, str(rf), False, None, None))
+                entries.append(IntegralityEntry(label, k, value, False, None, None))
     return IntegralityReport(order=order, entries=tuple(entries))
 
 

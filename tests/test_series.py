@@ -204,6 +204,20 @@ def test_exp_zero_is_one():
     assert TruncSeries.zero(QQ, 6).exp().is_one_series()
 
 
+def test_exp_over_rational_laurent_ring():
+    # exp(b^-1 T) = sum_k b^-k T^k / k!: the division by k must be over Q
+    ring = laurent_coeff_ring("b")
+    x = TruncSeries.from_coeffs(ring, 1, [LaurentPoly("b", {-1: 1})], order=6)
+    expected = [LaurentPoly("b", {-k: Fraction(1, factorial(k))}) for k in range(7)]
+    assert x.exp() == TruncSeries(ring, 0, 6, expected)
+
+
+def test_exp_over_integral_laurent_ring_is_a_capability_error():
+    ring = laurent_coeff_ring("c", integral=True)
+    with pytest.raises(CapabilityError):
+        TruncSeries.from_coeffs(ring, 1, [LaurentPoly("c", {-1: 1})], order=3).exp()
+
+
 # -- division ---------------------------------------------------------------------------
 
 

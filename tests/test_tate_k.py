@@ -13,7 +13,7 @@ import pytest
 from tatecalc.basis import NumericalPoly
 from tatecalc.errors import DomainError, NotInvertibleError
 from tatecalc.laurent import LaurentPoly
-from tatecalc.multipoly import MultiPoly, RationalFunction, binom_poly
+from tatecalc.multipoly import MultiPoly, binom_poly
 from tatecalc import tate_k
 from tatecalc.tate_k import ONE_MINUS_Q, TateKElem
 
@@ -207,20 +207,23 @@ def test_verify_prop2_defect_injection():
 
 def test_q_series_frozen_coefficients():
     qs = tate_k.q_series(8)
-    beta = MultiPoly.var(("beta",), "beta")
-    one = MultiPoly.const(("beta",), 1)
-
-    def rf(num, den):
-        return RationalFunction(num, den)
-
-    assert qs.coeff(0) == rf(one, beta)
-    assert qs.coeff(1) == rf(beta + 1, beta * 2)
-    assert qs.coeff(2) == rf((beta + 1) * (beta - 1), beta * 12)
+    assert qs.ring.name == "QQ[beta^±1]"
+    assert qs.coeff(0) == LaurentPoly("beta", {-1: 1})
+    # (beta+1)/(2 beta) and (beta+1)(beta-1)/(12 beta)
+    assert qs.coeff(1) == LaurentPoly("beta", {-1: Fraction(1, 2), 0: Fraction(1, 2)})
+    assert qs.coeff(2) == LaurentPoly("beta", {-1: Fraction(-1, 12), 1: Fraction(1, 12)})
 
 
 def test_q_series_multiply_back_order_32():
     qs = tate_k.q_series(32)
-    assert (qs * tate_k.q_hat_inv_ratfun(32)).is_one_series()
+    q_hat_inv = tate_k.q_hat_inv_poly(32).map_coeffs(MultiPoly.to_laurent, qs.ring)
+    assert (qs * q_hat_inv).is_one_series()
+
+
+def test_q_series_coefficients_have_a_simple_pole_in_beta():
+    # the integrality report's "polynomial" test reads the lowest exponent
+    qs = tate_k.q_series(40)
+    assert [qs.coeff(k).lo() for k in range(41)] == [-1] * 41
 
 
 def test_integrality_report_contents():
