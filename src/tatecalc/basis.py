@@ -14,7 +14,7 @@ from typing import Mapping
 from .arith import power
 from .errors import DomainError, InexactDivisionError
 from .laurent import render_terms
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, binom_polys
 
 
 def binom_int(n: int, k: int) -> int:
@@ -215,12 +215,10 @@ class NumericalPoly:
 
     def to_polynomial(self, gen: str = "beta") -> MultiPoly:
         """Expanded Q[beta] form."""
-        from .multipoly import binom_poly  # local import to avoid cycle at module load
-
-        x = MultiPoly.var((gen,), gen)
         total = MultiPoly.zero((gen,))
+        binoms = binom_polys(MultiPoly.var((gen,), gen), self.degree())
         for k, v in self.coords.items():
-            total = total + binom_poly(x, k) * v
+            total = total + binoms[k] * v
         return total
 
     def __str__(self) -> str:

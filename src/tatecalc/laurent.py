@@ -4,14 +4,20 @@ One type serves both the integer rings (Z[c,c^-1], Z[q,q^-1]) and, with
 Fraction coefficients, the Q-coefficient rings that series computations pass
 through.  Integral coefficients are always stored as int, so integrality is a
 structural property of the value rather than a mode flag.
+
+Products are sums of products: `accumulator` collects any number of them as
+integer numerators over one common denominator (`arith.DenseAccumulator`) and
+normalises once, and `__mul__` is the one-product case.  The series kernel
+uses the same accumulator per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
-from .arith import power
+from .arith import DenseAccumulator, power
 from .errors import InexactDivisionError, NotInvertibleError, VariableMismatchError
 
 Scalar = int | Fraction
@@ -27,7 +33,7 @@ def canon_scalar(value: Scalar) -> Scalar:
 class LaurentPoly:
     """Finite map exponent -> coefficient; zero coefficients are never stored."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_int_cache")
 
     def __init__(self, var: str, coeffs: Mapping[int, Scalar] | None = None):
         self.var = var
@@ -38,6 +44,7 @@ class LaurentPoly:
                 if v != 0:
                     clean[int(e)] = v
         self.coeffs = clean
+        self._int_cache: tuple[list[tuple[int, int]], int] | None = None
 
     @classmethod
     def zero(cls, var: str) -> LaurentPoly:
@@ -107,18 +114,53 @@ class LaurentPoly:
     def __rsub__(self, other: Scalar) -> LaurentPoly:
         return (-self) + other
 
+    def _int_form(self) -> tuple[list[tuple[int, int]], int]:
+        """((exponent, integer numerator) pairs sorted by exponent, common
+        denominator), cached; the form `DenseAccumulator` reads."""
+        if self._int_cache is None:
+            den = 1
+            for v in self.coeffs.values():
+                if type(v) is not int:
+                    den = lcm(den, v.denominator)
+            if den == 1:
+                pairs = sorted(self.coeffs.items())
+            else:
+                pairs = sorted((e, v.numerator * (den // v.denominator))
+                               for e, v in self.coeffs.items())
+            self._int_cache = (pairs, den)
+        return self._int_cache
+
+    @staticmethod
+    def _from_ints(var: str, lo: int, nums: list[int], den: int) -> LaurentPoly:
+        """sum_i nums[i]/den var^(lo+i), integral coefficients as int."""
+        out = object.__new__(LaurentPoly)
+        out.var = var
+        out._int_cache = None
+        if den == 1:
+            out.coeffs = {e: c for e, c in enumerate(nums, lo) if c}
+            return out
+        coeffs = {}
+        for e, c in enumerate(nums, lo):
+            if c:
+                q, r = divmod(c, den)
+                coeffs[e] = Fraction(c, den) if r else q
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
+    def accumulator(var: str) -> DenseAccumulator:
+        """An empty sum of products of Laurent polynomials in `var`."""
+        return DenseAccumulator(LaurentPoly._int_form, LaurentPoly._from_ints, var)
+
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return LaurentPoly(self.var, {e: v * other for e, v in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same(other)
-        out: dict[int, Scalar] = {}
-        for ea, va in self.coeffs.items():
-            for eb, vb in other.coeffs.items():
-                e = ea + eb
-                out[e] = out.get(e, 0) + va * vb
-        return LaurentPoly(self.var, out)
+        acc = LaurentPoly.accumulator(self.var)
+        acc.add(self, other)
+        return acc.value()
 
     __rmul__ = __mul__
 
@@ -169,8 +211,11 @@ class LaurentPoly:
             out[e] = q
         return LaurentPoly(self.var, out)
 
-    def div_exact(self, other: LaurentPoly) -> LaurentPoly:
-        """Exact Laurent division; raises InexactDivisionError when it fails."""
+    def div_exact(self, other: LaurentPoly, over_integers: bool = True) -> LaurentPoly:
+        """Exact Laurent division; raises InexactDivisionError when it fails.
+
+        With `over_integers`, integral operands must give an integral quotient.
+        """
         if isinstance(other, (int, Fraction)):
             return self.div_scalar_exact(other)
         self._require_same(other)
@@ -196,7 +241,7 @@ class LaurentPoly:
         if any(rem):
             raise InexactDivisionError(f"{other} does not divide {self}")
         quo = LaurentPoly(self.var, {a_lo - b_lo + i: c for i, c in enumerate(q)})
-        if self.is_integral() and other.is_integral() and not quo.is_integral():
+        if over_integers and self.is_integral() and other.is_integral() and not quo.is_integral():
             raise InexactDivisionError(f"{other} does not divide {self} over the integers")
         return quo
 

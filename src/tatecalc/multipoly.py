@@ -1,10 +1,13 @@
 """Multivariate polynomials over Q, and the canonical display form of a quotient.
 
 MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
-generator tuple.  Multiplication rescales both operands to integer
-coefficients first so the inner convolution runs on machine/big ints; for
-univariate operands it switches to a dense convolution.  These are the hot
-paths of the order-64 series checks.
+generator tuple.  Products are fraction-free: `MultiPoly.accumulator` sums any
+number of products x*y as integer numerators over one common denominator (a
+dense list in one generator, `arith.DenseAccumulator`; a sparse dict in
+several) and normalises to Fractions once, when the sum is read.  The series
+kernel keeps one accumulator per output coefficient, and `__mul__` is the
+one-product case.  `binom_polys` builds the falling-factorial binomials
+incrementally.
 
 RationalFunction is not a coefficient ring: it puts a univariate num/den pair
 in canonical form (coprime, integer coefficients of content 1, denominator
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
-from .arith import power
+from .arith import DenseAccumulator, power
 from .laurent import LaurentPoly, render_terms
 
 Expo = tuple[int, ...]
@@ -47,7 +51,7 @@ class MultiPoly:
         if terms:
             arity = len(self.gens)
             for expo, v in terms.items():
-                f = Fraction(v)
+                f = v if type(v) is Fraction else Fraction(v)
                 if f == 0:
                     continue
                 expo = tuple(expo)
@@ -55,7 +59,7 @@ class MultiPoly:
                     raise DomainError(f"bad exponent vector {expo} for generators {self.gens}")
                 clean[expo] = f
         self.terms = clean
-        self._int_cache: tuple[dict[Expo, int], int] | None = None
+        self._int_cache: tuple[list[tuple], int] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -121,7 +125,7 @@ class MultiPoly:
         self._require_same(other)
         out = dict(self.terms)
         for e, v in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + v
+            out[e] = out.get(e, 0) + v
         return MultiPoly(self.gens, out)
 
     __radd__ = __add__
@@ -132,17 +136,34 @@ class MultiPoly:
     def __rsub__(self, other: Fraction | int) -> MultiPoly:
         return (-self) + other
 
-    def _int_form(self) -> tuple[dict[Expo, int], int]:
-        """Integer-rescaled terms and the common denominator."""
+    def _int_form(self) -> tuple[list[tuple], int]:
+        """((exponent, integer numerator) pairs, common denominator), cached.
+
+        In one generator the exponent is an int and the pairs are sorted, the
+        form `DenseAccumulator` reads; in several it is the exponent vector.
+        """
         if self._int_cache is None:
             den = 1
             for v in self.terms.values():
                 den = lcm(den, v.denominator)
-            self._int_cache = (
-                {e: v.numerator * (den // v.denominator) for e, v in self.terms.items()},
-                den,
-            )
+            pairs = [(e, v.numerator * (den // v.denominator)) for e, v in self.terms.items()]
+            if len(self.gens) == 1:
+                pairs = sorted((e, c) for (e,), c in pairs)
+            self._int_cache = (pairs, den)
         return self._int_cache
+
+    @staticmethod
+    def _from_ints(gens: tuple[str, ...], lo: int, nums: list[int], den: int) -> MultiPoly:
+        """sum_i nums[i]/den gen^(lo+i) in the one generator."""
+        return MultiPoly(gens, {(e,): Fraction(c, den) for e, c in enumerate(nums, lo) if c})
+
+    @staticmethod
+    def accumulator(gens: Sequence[str]) -> DenseAccumulator | _SparseAccumulator:
+        """An empty sum of products of polynomials over `gens`."""
+        gens = tuple(gens)
+        if len(gens) != 1:
+            return _SparseAccumulator(gens)
+        return DenseAccumulator(MultiPoly._int_form, MultiPoly._from_ints, gens)
 
     def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -152,34 +173,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.gens)
-        ai, da = self._int_form()
-        bi, db = other._int_form()
-        den = da * db
-        if len(self.gens) == 1:
-            # dense convolution on int lists
-            na = max(e[0] for e in ai) + 1
-            nb = max(e[0] for e in bi) + 1
-            va = [0] * na
-            vb = [0] * nb
-            for (e,), c in ai.items():
-                va[e] = c
-            for (e,), c in bi.items():
-                vb[e] = c
-            out = [0] * (na + nb - 1)
-            for i, ca in enumerate(va):
-                if ca:
-                    for j, cb in enumerate(vb):
-                        if cb:
-                            out[i + j] += ca * cb
-            return MultiPoly(self.gens, {(k,): Fraction(c, den) for k, c in enumerate(out) if c})
-        acc: dict[Expo, int] = {}
-        for ea, ca in ai.items():
-            for eb, cb in bi.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
-        return MultiPoly(self.gens, {e: Fraction(c, den) for e, c in acc.items() if c})
+        acc = MultiPoly.accumulator(self.gens)
+        acc.add(self, other)
+        return acc.value()
 
     __rmul__ = __mul__
 
@@ -314,16 +310,56 @@ class MultiPoly:
         return out
 
 
+class _SparseAccumulator:
+    """A sum of products of polynomials in several generators: integer
+    numerators keyed by exponent vector over one common denominator,
+    normalised once by `value`.  The sparse twin of `DenseAccumulator`."""
+
+    __slots__ = ("gens", "nums", "den")
+
+    def __init__(self, gens: tuple[str, ...]):
+        self.gens = gens
+        self.nums: dict[Expo, int] = {}
+        self.den = 1
+
+    def add(self, x: MultiPoly, y: MultiPoly) -> None:
+        xs, dx = x._int_form()
+        ys, dy = y._int_form()
+        d = dx * dy
+        den = self.den
+        if den % d:
+            common = lcm(den, d)
+            scale = common // den
+            self.nums = {e: c * scale for e, c in self.nums.items()}
+            self.den = den = common
+        f = den // d
+        nums = self.nums
+        get = nums.get
+        for ea, ca in xs:
+            ca *= f
+            for eb, cb in ys:
+                e = tuple(map(add, ea, eb))
+                nums[e] = get(e, 0) + ca * cb
+
+    def value(self) -> MultiPoly:
+        den = self.den
+        return MultiPoly(self.gens, {e: Fraction(c, den) for e, c in self.nums.items() if c})
+
+
+def binom_polys(x: MultiPoly, n: int) -> list[MultiPoly]:
+    """[binom(x, 0), ..., binom(x, n)] for a polynomial argument, by the
+    running recurrence binom(x, k) = binom(x, k-1) (x - k + 1) / k."""
+    out = [MultiPoly.const(x.gens, 1)]
+    for k in range(1, n + 1):
+        out.append((out[-1] * (x - (k - 1))).div_int(k))
+    return out
+
+
 def binom_poly(x: MultiPoly, k: int) -> MultiPoly:
     """Falling-factorial binomial x(x-1)...(x-k+1)/k! for a polynomial argument."""
     if k < 0:
         raise DomainError("binomial index must be non-negative")
-    result = MultiPoly.const(x.gens, 1)
-    fact = 1
-    for i in range(k):
-        result = result * (x - i)
-        fact *= i + 1
-    return result.div_int(fact)
+    return binom_polys(x, k)[k]
 
 
 # -- univariate helpers for the fraction field --------------------------------

@@ -7,7 +7,8 @@ PrecisionError.  Coefficients below `low` are exactly zero by construction.
 
 Coefficient rings are described by a Ring record: the elements' own + - * ==
 do the arithmetic, and the record supplies what differs between rings (names,
-constants, division, inverses).  The same engine runs over Q, Z, Q[x], Q[x,y],
+constants, division, inverses, and an accumulator that sums products without
+normalising each one).  The same engine runs over Q, Z, Q[x], Q[x,y],
 Laurent rings such as Q[beta^±1], divided powers, and numerical polynomials.
 """
 
@@ -39,6 +40,10 @@ class Ring:
     `rational` marks rings with exact division by every nonzero integer;
     exp/log are typed errors without it.  `inv` and `div_exact` are partial:
     they raise NotInvertibleError / InexactDivisionError where undefined.
+    `accumulator`, where set, makes an empty sum of products with
+    `add(x, y)` and `value()`; the series kernel keeps one per output
+    coefficient, so a ring can sum products without normalising each one.
+    Without it the kernel folds with the elements' own + and *.
     """
 
     name: str
@@ -49,6 +54,7 @@ class Ring:
     rational: bool = True
     inv: Callable[[Any], Any] | None = None
     div_exact: Callable[[Any, Any], Any] | None = None
+    accumulator: Callable[[], Any] | None = None
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -108,6 +114,7 @@ def poly_ring(*gens: str) -> Ring:
         inv=_poly_inv,
         div_exact=lambda a, b: a.div_exact(b),
         from_int=lambda n: MultiPoly.const(gens, n),
+        accumulator=lambda: MultiPoly.accumulator(gens),
     )
 
 
@@ -130,8 +137,9 @@ def laurent_coeff_ring(var: str, integral: bool = False) -> Ring:
         div_int=div_int,
         rational=not integral,
         inv=lambda a: a.inverse(),
-        div_exact=lambda a, b: a.div_exact(b),
+        div_exact=lambda a, b: a.div_exact(b, over_integers=integral),
         from_int=lambda n: LaurentPoly(var, {0: n}),
+        accumulator=lambda: LaurentPoly.accumulator(var),
     )
 
 
@@ -163,20 +171,36 @@ def _terms(ring: Ring, coeffs: Sequence, first: int) -> list[tuple[int, Any]]:
 
 
 def _accumulate(ring: Ring, n: int, terms: list[tuple[int, Any]],
-                step: Callable[[int, Any], Any]) -> tuple[list, list]:
-    """The series engine's one O(n^2) loop: t_k = step(k, acc[k]) for k < n.
+                step: Callable[[int, Any], Any] | Sequence) -> list:
+    """The series engine's one O(n^2) loop over t_0..t_{n-1}.
 
-    After each nonzero t_k, t_k * y is scattered into acc[k + j] for every
-    (j, y) of `terms` (nonzero, sorted by j) that lands below n, so zero
-    terms cost nothing.  With every j >= 1, acc[k] is complete when step(k)
-    reads it, which solves a triangular recurrence; with j = 0 allowed and
-    a step that ignores acc, acc is a plain product.  Returns (t, acc).
+    After each nonzero t_k, the product t_k * y is added to the pending sum
+    s_{k+j} for every (j, y) of `terms` (nonzero, sorted by j) with k + j < n,
+    so zero terms cost nothing.  With a `ring.accumulator`, each pending sum
+    is an accumulator, created at its first product and normalised to a ring
+    element once, when it is read, then dropped; a ring without one folds
+    each product into s_{k+j} with + and *.
+
+    With a callable `step` and every j >= 1, s_k is complete when t_k =
+    step(k, s_k) reads it, which solves a triangular recurrence; returns t.
+    With a sequence of given terms t and j = 0 allowed, the sums are the
+    plain product, read at the end; returns s.
     """
     zero = ring.zero
-    acc = [zero] * n
+    new = ring.accumulator
+    fold = new is None
+    acc: list = [zero] * n if fold else [None] * n
+    recurrence = callable(step)
     t = []
     for k in range(n):
-        x = step(k, acc[k])
+        if recurrence:
+            s = acc[k]
+            acc[k] = None
+            if not fold:
+                s = zero if s is None else s.value()
+            x = step(k, s)
+        else:
+            x = step[k]
         t.append(x)
         if x == zero:
             continue
@@ -184,8 +208,19 @@ def _accumulate(ring: Ring, n: int, terms: list[tuple[int, Any]],
             i = k + j
             if i >= n:
                 break
-            acc[i] = acc[i] + x * y
-    return t, acc
+            if fold:
+                acc[i] = acc[i] + x * y
+                continue
+            s = acc[i]
+            if s is None:
+                s = acc[i] = new()
+            s.add(x, y)
+    if recurrence:
+        return t
+    if not fold:
+        for i, s in enumerate(acc):
+            acc[i] = zero if s is None else s.value()
+    return acc
 
 
 class TruncSeries:
@@ -315,10 +350,9 @@ class TruncSeries:
         order = min(self.order + other.low, other.order + self.low)
         if order < low:
             raise DomainError("product has no reliable coefficients")
-        a = self.coeffs
-        _, acc = _accumulate(ring, order - low + 1, _terms(ring, other.coeffs, 0),
-                             lambda k, s: a[k])
-        return TruncSeries(ring, low, order, acc, self.var)
+        n = order - low + 1
+        coeffs = _accumulate(ring, n, _terms(ring, other.coeffs, 0), self.coeffs[:n])
+        return TruncSeries(ring, low, order, coeffs, self.var)
 
     def scalar_mul(self, value) -> TruncSeries:
         """Multiply by a ring element or int."""
@@ -376,7 +410,7 @@ class TruncSeries:
         u = [self.coeff(v + i) * lead_inv for i in range(1, m + 1)]  # u_1..u_m
         one = ring.one
         # w_n = -sum_{k=1..n} u_k w_{n-k}, w_0 = 1
-        w, _ = _accumulate(ring, m + 1, _terms(ring, u, 1), lambda n, s: -s if n else one)
+        w = _accumulate(ring, m + 1, _terms(ring, u, 1), lambda n, s: -s if n else one)
         coeffs = [lead_inv * c for c in w]
         return TruncSeries(ring, -v, m - v, coeffs, self.var)
 
@@ -399,7 +433,7 @@ class TruncSeries:
         ka = [(k, c * ring.from_int(k)) for k, c in _terms(ring, a, 1)]
         one, div_int = ring.one, ring.div_int
         # e_n = (sum_{k=1..n} k a_k e_{n-k}) / n, e_0 = 1
-        e, _ = _accumulate(ring, self.order + 1, ka, lambda n, s: div_int(s, n) if n else one)
+        e = _accumulate(ring, self.order + 1, ka, lambda n, s: div_int(s, n) if n else one)
         return TruncSeries(ring, 0, self.order, e, self.var)
 
     def log(self) -> TruncSeries:
@@ -411,8 +445,8 @@ class TruncSeries:
         a = [self.coeff(k) for k in range(self.order + 1)]
         zero, from_int = ring.zero, ring.from_int
         # m_n = n l_n = n a_n - sum_{k=1..n-1} m_k a_{n-k}
-        m, _ = _accumulate(ring, self.order + 1, _terms(ring, a[1:], 1),
-                           lambda n, s: a[n] * from_int(n) - s if n else zero)
+        m = _accumulate(ring, self.order + 1, _terms(ring, a[1:], 1),
+                        lambda n, s: a[n] * from_int(n) - s if n else zero)
         l = [ring.div_int(c, n) if n else c for n, c in enumerate(m)]
         return TruncSeries(ring, 0, self.order, l, self.var)
 
@@ -448,8 +482,8 @@ class TruncSeries:
         b = _terms(ring, other.coeffs[v + 1 - other.low:], 1)
         div, coeff = ring.div_exact, self.coeff
         # q_n = (a_{n+v} - sum_{d>=1} q_{n-d} b_{v+d}) / b_v
-        q, _ = _accumulate(ring, order - low + 1, b,
-                           lambda n, s: div(coeff(low + n + v) - s, lead))
+        q = _accumulate(ring, order - low + 1, b,
+                        lambda n, s: div(coeff(low + n + v) - s, lead))
         return TruncSeries(ring, low, order, q, self.var)
 
     # -- rendering ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from .arith import power
 from .basis import NumericalPoly, numerical_mul
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
-from .multipoly import MultiPoly, RationalFunction, binom_poly
+from .multipoly import MultiPoly, RationalFunction, binom_polys
 from .report import Check, VerificationReport
 from .series import TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring, poly_ring
 
@@ -221,11 +221,9 @@ def binomial_series(order: int) -> TruncSeries:
 
 
 def binomial_poly_series(order: int, negate: bool = False, gen: str = "beta") -> TruncSeries:
-    """(1+T)^(±beta) over Q[beta], via falling-factorial binomials."""
-    ring = poly_ring(gen)
+    """(1+T)^(±beta) over Q[beta]: the binomials binom(±beta, k), k <= order."""
     beta = MultiPoly.var((gen,), gen)
-    arg = -beta if negate else beta
-    return TruncSeries(ring, 0, order, [binom_poly(arg, k) for k in range(order + 1)])
+    return TruncSeries(poly_ring(gen), 0, order, binom_polys(-beta if negate else beta, order))
 
 
 def cartier_check(order0: int, order1: int) -> VerificationReport:

@@ -101,6 +101,15 @@ def test_verify_seed_changes_are_still_green(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["prop2", "all"])
+def test_verify_refuses_prop2_above_its_bound(capsys, suite):
+    # refused before any suite runs, so this returns at once
+    code, out, err = run(capsys, "verify", suite, "--order", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: order 1000 is above the prop2 bound 128"
+
+
 def test_expand_text(capsys):
     code, out, _ = run(capsys, "expand", "(1-q)^-1", "--at", "0", "--order", "5")
     assert code == 0

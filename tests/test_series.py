@@ -3,9 +3,13 @@
 Oracles used here and nowhere in the implementation:
   * Mercator series for log(1 - xT),
   * the Pascal-recurrence Bernoulli numbers (sum_j C(n+1,j) B_j = 0),
-  * the brute-force double sum for products of Laurent-tailed series.
+  * the brute-force double sum for products of Laurent-tailed series,
+  * schoolbook Fraction products of polynomial coefficients, folded into the
+    plain product, inverse and division recurrences,
+  * binom(±m, k) from math.comb at integer points m.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -21,7 +25,7 @@ from tatecalc.errors import (
     RingMismatchError,
 )
 from tatecalc.laurent import LaurentPoly
-from tatecalc.multipoly import MultiPoly
+from tatecalc.multipoly import MultiPoly, binom_poly
 from tatecalc.series import (
     QQ,
     ZZ,
@@ -32,6 +36,7 @@ from tatecalc.series import (
     laurent_coeff_ring,
     poly_ring,
 )
+from tatecalc.tate_k import binomial_poly_series
 
 
 def qq(low, coeffs, order=None):
@@ -316,6 +321,169 @@ def test_div_exact_recovers_factor_past_divisor_zeros(ring, data):
     assert b.valuation() > b.low
     q = (a * b).div_exact(b)
     assert q.agrees_with(a)
+
+
+# -- fraction-free accumulation over polynomial coefficients -------------------------------
+
+_FRAC = st.fractions(-3, 3, max_denominator=6).filter(bool)  # unlike denominators
+_ACC_RINGS = {
+    "QQ[x]": (poly_ring("x"), st.tuples(st.integers(0, 3))),
+    "QQ[x,y]": (poly_ring("x", "y"), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    "QQ[b^±1]": (laurent_coeff_ring("b"), st.integers(-3, 3)),  # negative exponents
+}
+ACC_RINGS = pytest.mark.parametrize("name", list(_ACC_RINGS))
+
+
+def _element(ring, terms):
+    zero = ring.zero
+    if isinstance(zero, LaurentPoly):
+        return LaurentPoly(zero.var, terms)
+    return MultiPoly(zero.gens, terms)
+
+
+def _omul(x, y):
+    """Schoolbook product of two coefficients, one Fraction product per pair."""
+    if isinstance(x, LaurentPoly):
+        out = {}
+        for ea, va in x.coeffs.items():
+            for eb, vb in y.coeffs.items():
+                out[ea + eb] = out.get(ea + eb, 0) + Fraction(va) * vb
+        return LaurentPoly(x.var, out)
+    out = {}
+    for ea, va in x.terms.items():
+        for eb, vb in y.terms.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + va * vb
+    return MultiPoly(x.gens, out)
+
+
+@st.composite
+def coeff_series(draw, name, unit_lead=False):
+    """A short series whose coefficients come from a pool {0, ±p1, ±p2}, so
+    that sums of products cancel to zero often; with `unit_lead` it opens
+    with a unit (a nonzero constant, or a monomial in the Laurent ring)."""
+    ring, expos = _ACC_RINGS[name]
+    pool = draw(st.lists(st.dictionaries(expos, _FRAC, min_size=1, max_size=3)
+                         .map(lambda d: _element(ring, d)), min_size=1, max_size=2))
+    coeffs = draw(st.lists(st.sampled_from([ring.zero] + pool + [-p for p in pool]),
+                           min_size=1, max_size=6))
+    if unit_lead:
+        laurent = isinstance(ring.zero, LaurentPoly)
+        expo = draw(expos) if laurent else (0,) * len(ring.zero.gens)
+        coeffs.insert(0, _element(ring, {expo: draw(_FRAC)}))
+    return TruncSeries.from_coeffs(ring, draw(st.integers(-2, 2)), coeffs)
+
+
+def _fold(ring, products):
+    total = ring.zero
+    for x, y in products:
+        total = total + _omul(x, y)
+    return total
+
+
+@ACC_RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_accumulated_product_matches_schoolbook_fold(name, data):
+    a = data.draw(coeff_series(name))
+    b = data.draw(coeff_series(name))
+    ring = a.ring
+    prod = a * b
+    assert (prod.low, prod.order) == (a.low + b.low, min(a.order + b.low, b.order + a.low))
+    expected = [
+        _fold(ring, [(a.coeff(i), b.coeff(e - i)) for i in range(a.low, a.order + 1)
+                     if b.low <= e - i <= b.order])
+        for e in range(prod.low, prod.order + 1)
+    ]
+    assert list(prod.coeffs) == expected
+
+
+@ACC_RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_accumulated_inverse_matches_schoolbook_recurrence(name, data):
+    a = data.draw(coeff_series(name, unit_lead=True))
+    ring = a.ring
+    v = a.low
+    lead_inv = ring.inv(a.coeff(v))
+    # w_0 = 1, w_n = -sum_{k=1..n} (a_{v+k}/a_v) w_{n-k}; the inverse is w/a_v
+    w = [ring.one]
+    for n in range(1, a.order - v + 1):
+        w.append(-_fold(ring, [(_omul(a.coeff(v + k), lead_inv), w[n - k])
+                               for k in range(1, n + 1)]))
+    inv = a.inverse()
+    assert (inv.low, inv.order) == (-v, a.order - 2 * v)
+    assert list(inv.coeffs) == [_omul(lead_inv, c) for c in w]
+
+
+@ACC_RINGS
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_accumulated_div_exact_matches_schoolbook_recurrence(name, data):
+    a = data.draw(coeff_series(name))
+    b = data.draw(coeff_series(name, unit_lead=True))
+    ring = a.ring
+    v = b.low
+    lead_inv = ring.inv(b.coeff(v))
+    low = a.low + b.low
+    order = min(a.order + b.low, b.order + a.low)
+    dividend = TruncSeries(ring, low, order, [
+        _fold(ring, [(a.coeff(i), b.coeff(e - i)) for i in range(a.low, a.order + 1)
+                     if b.low <= e - i <= b.order])
+        for e in range(low, order + 1)
+    ])
+    q = dividend.div_exact(b)
+    # q_n = (c_{n+v} - sum_{d>=1} q_{n-d} b_{v+d}) / b_v
+    expected = []
+    for n in range(q.low, q.order + 1):
+        s = _fold(ring, [(expected[n - d - q.low], b.coeff(v + d))
+                         for d in range(1, min(n - q.low, b.order - v) + 1)])
+        expected.append(_omul(dividend.coeff(n + v) - s, lead_inv))
+    assert list(q.coeffs) == expected
+    assert q.agrees_with(a, through=q.order)
+
+
+@pytest.mark.parametrize("name", ["QQ[x]", "QQ[x,y]", "QQ[b^±1]"])
+def test_accumulated_sum_cancels_to_the_stored_zero(name):
+    # (1 + pT)(1 - pT) = 1 - p^2 T^2, with p = x/2 + 1/3 (or b/2 + 1/3 ...)
+    ring, _ = _ACC_RINGS[name]
+    expo = 1 if name == "QQ[b^±1]" else (1,) * len(ring.zero.gens)
+    zero_expo = 0 if name == "QQ[b^±1]" else (0,) * len(ring.zero.gens)
+    p = _element(ring, {expo: Fraction(1, 2), zero_expo: Fraction(1, 3)})
+    plus = TruncSeries.from_coeffs(ring, 0, [ring.one, p], order=2)
+    minus = TruncSeries.from_coeffs(ring, 0, [ring.one, -p], order=2)
+    prod = plus * minus
+    assert prod.coeff(1) == ring.zero
+    assert not (prod.coeff(1).coeffs if name == "QQ[b^±1]" else prod.coeff(1).terms)
+    assert prod.coeff(2) == -_omul(p, p)
+
+
+def test_inverse_over_integral_laurent_ring_stays_integral():
+    ring = laurent_coeff_ring("q", integral=True)
+    rng = random.Random(5)
+    for _ in range(20):
+        lead = LaurentPoly("q", {rng.randint(-3, 3): rng.choice([1, -1])})
+        rest = [LaurentPoly("q", {rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(3)})
+                for _ in range(8)]
+        a = TruncSeries.from_coeffs(ring, rng.randint(-2, 2), [lead] + rest)
+        inv = a.inverse()
+        assert all(c.is_integral() for c in inv.coeffs)
+        assert (a * inv).is_one_series()
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_binomial_poly_series_is_binom_poly(negate):
+    beta = MultiPoly.var(("beta",), "beta")
+    arg = -beta if negate else beta
+    for n in (0, 1, 7, 24):
+        s = binomial_poly_series(n, negate)
+        assert (s.low, s.order) == (0, n)
+        assert list(s.coeffs) == [binom_poly(arg, k) for k in range(n + 1)]
+    for k, c in enumerate(binomial_poly_series(24, negate).coeffs):
+        # k + 1 integer points fix a polynomial of degree k
+        for m in range(1, k + 2):
+            want = (-1) ** k * comb(m + k - 1, k) if negate else comb(m, k)
+            assert c.evaluate({"beta": m}) == want
 
 
 # -- Bernoulli ---------------------------------------------------------------------------
