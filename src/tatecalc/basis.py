@@ -118,6 +118,8 @@ class DividedPowerElem:
         return power(self, n)
 
     def div_int_exact(self, n: int) -> DividedPowerElem:
+        if n == 0:
+            raise ZeroDivisionError("division by zero scalar")
         out = {}
         for k, v in self.coords.items():
             if v % n:

@@ -1,8 +1,8 @@
 """Command-line interface: eval, verify, expand, report.
 
 Exit codes: 0 success / suite pass, 1 identity failure, 2 usage or parse or
-evaluation-type error.  All randomness is seeded, so identical invocations
-produce byte-identical output.
+evaluation-type error, division by zero included.  All randomness is seeded,
+so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_expand(args)
         if args.command == "report":
             return _cmd_report(args)
-    except TateCalcError as exc:
+    except (TateCalcError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

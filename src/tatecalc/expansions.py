@@ -5,6 +5,17 @@ Local coordinates: q at the origin, u = 1-q at one, s = (1-q)^-1 at infinity.
 Each expansion is the ring homomorphism determined by the images of q, q^-1
 and (1-q)^-1; at the s-puncture the image of q^-1 carries the sign forced by
 (1 - s^-1) * (-sum_{k>=1} s^k) = 1.
+
+In closed form, with q = 1-u at one and q = 1-s^-1 = -s^-1 (1-s) at infinity,
+each numerator term of x = sum_e c_e q^e / (1-q)^k maps to a monomial times a
+binomial series in the local coordinate t:
+
+    at 0:   c_e q^e (1-q)^-k
+    at 1:   c_e u^-k (1-u)^e
+    at inf: c_e (-1)^e s^(k-e) (1-s)^e
+
+with (1-t)^b = sum_i (-1)^i C(b, i) t^i for every integer b (the negative
+binomials C(i-b-1, i) when b < 0).
 """
 
 from __future__ import annotations
@@ -26,62 +37,30 @@ class Puncture(enum.Enum):
         return {"0": "q", "1": "u", "inf": "s"}[self.value]
 
 
-def int_series(low: int, coeffs: list[int], order: int, var: str) -> TruncSeries:
-    return TruncSeries.from_coeffs(ZZ, low, coeffs, var, order=order)
-
-
-def _geometric(var: str, order: int) -> TruncSeries:
-    return int_series(0, [1] * (order + 1), order, var)
-
-
-def _images(puncture: Puncture, order: int) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
-    """Images (q, q^-1, (1-q)^-1) as series in the local coordinate."""
-    v = puncture.variable
-    if puncture is Puncture.ZERO:
-        return (
-            int_series(1, [1], order, v),                   # q
-            int_series(-1, [1], order, v),                  # q^-1
-            _geometric(v, order),                           # (1-q)^-1 = sum q^k
-        )
-    if puncture is Puncture.ONE:
-        return (
-            int_series(0, [1, -1], order, v),               # q = 1 - u
-            _geometric(v, order),                           # q^-1 = sum u^k
-            int_series(-1, [1], order, v),                  # (1-q)^-1 = u^-1
-        )
-    qinv_img = (
-        int_series(1, [-1] * order, order, v)               # q^-1 = -sum_{k>=1} s^k
-        if order >= 1
-        else TruncSeries.zero(ZZ, 0, v)
-    )
-    return (
-        int_series(-1, [-1, 1], order, v),                  # q = 1 - s^-1
-        qinv_img,
-        int_series(1, [1], order, v),                       # (1-q)^-1 = s
-    )
-
-
 def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
-    """Apply the puncture's expansion homomorphism, reliable through `order`."""
+    """Apply the puncture's expansion homomorphism, exact through `order`.
+
+    Sums the closed forms of the module docstring term by term, the binomial
+    coefficients by their running recurrence; the result starts at its first
+    nonzero coefficient (the zero series starts at 0).
+    """
     if order < 0:
         raise DomainError("order must be non-negative")
-    # slack covers the low-exponent drift of the Laurent factors during
-    # the power products below; the final truncation asserts it sufficed
-    lo, hi = x.num.lo(), x.num.hi()
-    slack = max(0, -lo) + max(0, hi) + x.denom_pow + 2
-    work = order + slack
-    img_q, img_qinv, img_pole = _images(puncture, work)
-    total = TruncSeries.zero(ZZ, work, puncture.variable)
-    pole_power = img_pole**x.denom_pow
-    for e, val in sorted(x.num.coeffs.items()):
-        factor = img_q**e if e >= 0 else img_qinv ** (-e)
-        term = (factor * pole_power).scalar_mul(val)
-        total = total + term
-    if total.order < order:
-        raise PrecisionError(
-            f"internal working order insufficient: got {total.order}, need {order}"
-        )
-    return total.truncated(order).trimmed()
+    k, out = x.denom_pow, {}
+    for e, c in x.num.coeffs.items():
+        # c q^e (1-q)^-k = c t^a (1-t)^b, with c negated at infinity for odd e
+        if puncture is Puncture.ZERO:
+            a, b = e, -k
+        elif puncture is Puncture.ONE:
+            a, b = -k, e
+        else:
+            a, b, c = k - e, e, -c if e % 2 else c
+        for i in range(order - a + 1):
+            out[a + i] = out.get(a + i, 0) + c  # c = c_e (-1)^i C(b, i)
+            c = c * (i - b) // (i + 1)
+    low = min([0, *out])
+    coeffs = [out.get(n, 0) for n in range(low, order + 1)]
+    return TruncSeries(ZZ, low, order, coeffs, puncture.variable).trimmed()
 
 
 def expand_at_zero(x: TateKElem, order: int) -> TruncSeries:

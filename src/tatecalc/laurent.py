@@ -54,10 +54,6 @@ class LaurentPoly:
     def one(cls, var: str) -> LaurentPoly:
         return cls(var, {0: 1})
 
-    @classmethod
-    def monomial(cls, var: str, exponent: int, coeff: Scalar = 1) -> LaurentPoly:
-        return cls(var, {exponent: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -66,9 +62,6 @@ class LaurentPoly:
 
     def coeff(self, exponent: int) -> Scalar:
         return self.coeffs.get(exponent, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
 
     def lo(self) -> int:
         """Lowest exponent; 0 for the zero polynomial."""
@@ -177,16 +170,6 @@ class LaurentPoly:
             raise NotInvertibleError(f"{self} is not a unit in the Laurent ring")
         (e, v), = self.coeffs.items()
         return LaurentPoly(self.var, {-e: canon_scalar(Fraction(1, 1) / v)})
-
-    def evaluate(self, point: Scalar) -> Scalar:
-        """Exact evaluation; the point must be invertible if negative exponents occur."""
-        total: Scalar = 0
-        for e, v in self.coeffs.items():
-            if e >= 0:
-                total += v * point**e
-            else:
-                total += v * Fraction(1, 1) / point ** (-e)
-        return canon_scalar(total if isinstance(total, Fraction) else total)
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by var^k."""

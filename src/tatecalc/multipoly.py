@@ -260,18 +260,6 @@ class MultiPoly:
                 out.pop(key, None)
         return MultiPoly(new_gens, out)
 
-    def embed(self, gens: Sequence[str]) -> MultiPoly:
-        """Re-express over a larger generator tuple."""
-        gens = tuple(gens)
-        idx = [gens.index(g) for g in self.gens]
-        out: dict[Expo, Fraction] = {}
-        for expo, v in self.terms.items():
-            e = [0] * len(gens)
-            for i, p in zip(idx, expo):
-                e[i] = p
-            out[tuple(e)] = v
-        return MultiPoly(gens, out)
-
     def dense(self) -> list[Fraction]:
         """Coefficient list for a univariate polynomial, low to high."""
         if len(self.gens) != 1:

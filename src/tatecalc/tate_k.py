@@ -29,6 +29,20 @@ def _check_q(x: LaurentPoly) -> None:
         raise DomainError(f"{x} has non-integer coefficients; the ring is over Z")
 
 
+def _split_at_one(num: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """(a, Q) with num = a + (1-q) * Q exactly and a = num(1).
+
+    Q's coefficient at q^e is the prefix sum of num's coefficients through
+    q^e, less a from q^0 on (synthetic division by the linear factor).
+    """
+    a = sum(num.coeffs.values())
+    quo, prefix = {}, 0
+    for e in range(min(num.lo(), 0), max(num.hi(), 0)):
+        prefix += num.coeff(e)
+        quo[e] = prefix - a if e >= 0 else prefix
+    return a, LaurentPoly("q", quo)
+
+
 class TateKElem:
     """num / (1-q)^denom_pow with num in Z[q^±1], reduced at q = 1."""
 
@@ -38,9 +52,8 @@ class TateKElem:
         _check_q(num)
         if denom_pow < 0:
             raise DomainError("denominator power must be non-negative")
-        while denom_pow > 0 and not num.is_zero() and num.evaluate(1) == 0:
-            num = num.div_exact(ONE_MINUS_Q)
-            denom_pow -= 1
+        while denom_pow > 0 and not num.is_zero() and sum(num.coeffs.values()) == 0:
+            num, denom_pow = _split_at_one(num)[1], denom_pow - 1
         if num.is_zero():
             denom_pow = 0
         self.num = num
@@ -113,9 +126,8 @@ class TateKElem:
         if self.is_zero():
             raise NotInvertibleError("zero is not invertible")
         num, extra = self.num, 0
-        while not num.is_zero() and num.evaluate(1) == 0:
-            num = num.div_exact(ONE_MINUS_Q)
-            extra += 1
+        while sum(num.coeffs.values()) == 0:
+            num, extra = _split_at_one(num)[1], extra + 1
         if len(num.coeffs) != 1:
             raise NotInvertibleError(f"{self} is not a unit in Z[q^±1, (1-q)^-1]")
         (e, v), = num.coeffs.items()
@@ -202,9 +214,7 @@ def partial_fractions(x: TateKElem) -> PartialFractionForm:
     num, k = x.num, x.denom_pow
     poles = [0] * k
     for j in range(k, 0, -1):
-        a = num.evaluate(1)
-        poles[j - 1] = a
-        num = (num - a).div_exact(ONE_MINUS_Q)
+        poles[j - 1], num = _split_at_one(num)
     return PartialFractionForm(poly_part=num, pole_coeffs=tuple(poles))
 
 

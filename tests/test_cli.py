@@ -66,6 +66,21 @@ def test_unknown_symbol_exit_2(capsys):
     assert "unknown symbol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "T/0"],
+    ["eval", "c/0"],
+    ["eval", "b/0"],
+    ["eval", "c/(c-c)", "--ring", "tate_h"],
+    ["eval", "b*T/(b-b)"],
+], ids=["series", "laurent", "divided-power", "zero-polynomial", "zero-series"])
+def test_division_by_zero_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: division by ")
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["verify", "not-a-suite"]) == 2
     capsys.readouterr()

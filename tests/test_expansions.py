@@ -61,6 +61,43 @@ def test_s_puncture_sign_is_forced():
     assert (img_q * pos_sum).agrees_with(-TruncSeries.one(ZZ, 7, "s"))
 
 
+# -- reference construction -------------------------------------------------------
+
+
+def reference_images(puncture, order):
+    """Series images of q, q^-1 and (1-q)^-1 in the local coordinate."""
+    v = puncture.variable
+    ones = [1] * (order + 1)
+    if puncture is ex.Puncture.ZERO:
+        return series(1, [1], v, order), series(-1, [1], v, order), series(0, ones, v)
+    if puncture is ex.Puncture.ONE:
+        return series(0, [1, -1], v, order), series(0, ones, v), series(-1, [1], v, order)
+    return series(-1, [-1, 1], v, order), series(1, [-1] * order, v), series(1, [1], v, order)
+
+
+def reference_expand(x, puncture, order):
+    """sum_e c_e * img(q)^e * img((1-q)^-1)^k by series products at a padded
+    order: the expansion as a ring homomorphism, with no closed form."""
+    work = order + max(0, -x.num.lo()) + max(0, x.num.hi()) + x.denom_pow + 2
+    img_q, img_qinv, img_pole = reference_images(puncture, work)
+    pole_power = img_pole**x.denom_pow
+    total = TruncSeries.zero(ZZ, work, puncture.variable)
+    for e, c in x.num.coeffs.items():
+        factor = img_q**e if e >= 0 else img_qinv ** (-e)
+        total = total + (factor * pole_power).scalar_mul(c)
+    return total.truncated(order).trimmed()
+
+
+@pytest.mark.parametrize("puncture", list(ex.Puncture))
+def test_closed_form_matches_image_products(puncture):
+    rng = random.Random(33)
+    for i in range(99):
+        x = rand_tatek(rng, window=(-8, 8), max_pole=7)
+        order = i % 33
+        got, want = ex.expand(x, puncture, order), reference_expand(x, puncture, order)
+        assert (got.low, got.order, got.coeffs) == (want.low, want.order, want.coeffs), (x, order)
+
+
 # -- homomorphism properties -------------------------------------------------------
 
 

@@ -14,6 +14,9 @@ from tatecalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# negative, zero and positive exponents over a triple pole
+MIXED = "(q^-3 + 2*q^4 - 5)*(1-q)^-3"
+
 CASES = [
     ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"]),
     ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"]),
@@ -26,6 +29,13 @@ CASES = [
     ("eval_laurent_div.txt", ["eval", "T^-2*exp(T)/(1+T)", "--order", "5"]),
     ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"]),
     ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"]),
+    ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"]),
+    ("expand_mixed_at1.txt", ["expand", MIXED, "--at", "1", "--order", "12"]),
+    ("expand_mixed_at1.json", ["expand", MIXED, "--at", "1", "--order", "12", "--json"]),
+    ("expand_mixed_atinf.txt", ["expand", MIXED, "--at", "inf", "--order", "12"]),
+    ("expand_mixed_atinf.json", ["expand", MIXED, "--at", "inf", "--order", "12", "--json"]),
+    ("expand_q10_at0_o4.txt", ["expand", "q^10", "--at", "0", "--order", "4"]),
+    ("expand_q10_at0_o4.json", ["expand", "q^10", "--at", "0", "--order", "4", "--json"]),
 ]
 
 

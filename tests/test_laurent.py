@@ -83,9 +83,8 @@ def test_exact_division():
         lp("q", {0: 3}).div_scalar_exact(2)
 
 
-def test_evaluation_and_dilation():
+def test_dilation():
     p = lp("q", {-1: 1, 2: 3})
-    assert p.evaluate(2) == Fraction(1, 2) + 12
     assert p.dilated(2) == lp("q", {-2: 1, 4: 3})
 
 

@@ -54,7 +54,7 @@ def test_normalization_invariant_random():
         for r in (x + y, x - y, x * y):
             assert r.denom_pow >= 0
             if r.denom_pow > 0:
-                assert r.num.evaluate(1) != 0
+                assert sum(r.num.coeffs.values()) != 0
             assert r.num.is_integral()
 
 
@@ -68,6 +68,21 @@ def test_inverse_of_units():
         TateKElem(q_poly({0: 1, 1: 1})).inverse()
     with pytest.raises(NotInvertibleError):
         TateKElem(q_poly({0: 2})).inverse()
+
+
+def test_split_at_one_is_exact():
+    # num = a + (1-q) Q with a = num(1), the step behind normalisation,
+    # inversion and partial fractions
+    rng = random.Random(25)
+    cases = [q_poly({3: 2, 5: -1}), q_poly({-4: 1, -2: 7}), q_poly({-3: 1, 2: -1}),
+             q_poly({1: 1}), q_poly({-1: 1}), LaurentPoly.zero("q")]
+    cases += [q_poly({rng.randint(-8, 8): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))})
+              for _ in range(300)]
+    for num in cases:
+        a, quo = tate_k._split_at_one(num)
+        assert type(a) is int and a == sum(num.coeffs.values())
+        assert quo.is_integral()
+        assert num == a + ONE_MINUS_Q * quo
 
 
 # -- partial fractions -----------------------------------------------------------------
