@@ -27,6 +27,15 @@ def binom_int(n: int, k: int) -> int:
     return num // factorial(k)
 
 
+def binom_ints(m: int, n: int) -> list[int]:
+    """[C(m, 0), ..., C(m, n)] for any integer m, by the running recurrence
+    C(m, k) = C(m, k-1) (m - k + 1) / k; the division is exact on ints."""
+    out = [1]
+    for k in range(1, n + 1):
+        out.append(out[-1] * (m - k + 1) // k)
+    return out
+
+
 def _clean_int_coords(coords: Mapping[int, int], what: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for k, v in coords.items():

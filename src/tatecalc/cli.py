@@ -1,14 +1,17 @@
 """Command-line interface: eval, verify, expand, report.
 
 Exit codes: 0 success / suite pass, 1 identity failure, 2 usage or parse or
-evaluation-type error, division by zero included.  All randomness is seeded,
-so identical invocations produce byte-identical output.
+evaluation-type error, division by zero included.  The `tatecalc` script
+also exits 1, without a traceback, when the reader of its output closes the
+pipe early.  All randomness is seeded, so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import expansions, tate_h, tate_k
@@ -163,7 +166,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe then fails here, not at shutdown
+    except BrokenPipeError:
+        # the reader went away (`tatecalc ... | head`): send what Python would
+        # still flush at exit to devnull and end quietly, as for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

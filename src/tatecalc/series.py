@@ -259,14 +259,15 @@ class TruncSeries:
     def from_coeffs(cls, ring: Ring, low: int, coeffs: Sequence, var: str = "T",
                     order: int | None = None) -> TruncSeries:
         """Exact data known through `order` (defaults to the last given exponent);
-        missing high coefficients are zero-padded when order extends past them."""
+        missing high coefficients are zero-padded when order extends past them,
+        and given ones above it are dropped."""
         coeffs = list(coeffs)
         top = low + len(coeffs) - 1
         if order is None:
             order = top
         if order > top:
             coeffs.extend([ring.zero] * (order - top))
-        return cls(ring, low, order, coeffs, var)
+        return cls(ring, low, order, coeffs[: order - low + 1], var)
 
     # -- access ---------------------------------------------------------------
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import power
-from .basis import NumericalPoly, numerical_mul
+from .basis import NumericalPoly, binom_ints, numerical_mul
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly, RationalFunction, binom_polys
 from .report import Check, VerificationReport
-from .series import TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring, poly_ring
+from .series import ZZ, TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring, poly_ring
 
 ONE_MINUS_Q = LaurentPoly("q", {0: 1, 1: -1})
 
@@ -282,9 +282,35 @@ def cartier_check(order0: int, order1: int) -> VerificationReport:
 
 def q_hat_inv_poly(order: int) -> TruncSeries:
     """(1 - (1+T)^-beta)/T over Q[beta]; T^k coefficient is -binom(-beta, k+1)."""
-    inv_pow = binomial_poly_series(order + 1, negate=True)
-    one = TruncSeries.one(inv_pow.ring, order + 1)
-    return (one - inv_pow).shifted(-1).truncated(order)
+    return _q_hat_inv(binomial_poly_series(order + 1, negate=True))
+
+
+def _q_hat_inv(inv_pow: TruncSeries) -> TruncSeries:
+    """(1 - inv_pow)/T, one order below `inv_pow`, which is (1+T)^-beta."""
+    return (TruncSeries.one(inv_pow.ring, inv_pow.order) - inv_pow).shifted(-1)
+
+
+def prop2_points(order: int) -> range:
+    """The order+2 consecutive integers around 0 at which prop2 evaluates beta.
+
+    (1+T)^m has |m|+1 nonzero terms for m >= 0 and (1+T)^-m for m <= 0, so a
+    point costs about |m| * order integer products, and points centred on 0
+    cost half as much as 0..order+1.
+    """
+    half = (order + 2) // 2
+    return range(-half, order + 2 - half)
+
+
+def _prop2_at(m: int, order: int) -> tuple[bool, bool]:
+    """prop2's defining relation and Vandermonde identity in ZZ[[T]] at beta = m."""
+    binom = TruncSeries(ZZ, 0, order, binom_ints(m, order))
+    inv_pow = TruncSeries(ZZ, 0, order + 1, binom_ints(-m, order + 1))
+    qhi = _q_hat_inv(inv_pow)
+    one_minus = (TruncSeries.one(ZZ, order + 1) - qhi.shifted(1)).truncated(order)
+    product_ok = (one_minus * binom).is_one_series()
+    relation_ok = product_ok and one_minus.inverse().agrees_with(binom, through=order)
+    vandermonde_ok = (binom * inv_pow.truncated(order)).is_one_series()
+    return relation_ok, vandermonde_ok
 
 
 def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
@@ -294,6 +320,20 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
     the binomial series the all-ones sequence on beta_k, matched under
     beta_k <-> q^-k.  Defining relation: substituting the solved q^-1 series
     into 1 - q^-1 T and inverting reproduces (1+T)^beta exactly in Q[beta][[T]].
+
+    Both series identities are decided without Q[beta] arithmetic, in ZZ[[T]]
+    at the integers beta = m of `prop2_points(order)`.  The T^k coefficient of
+    each side is a polynomial in beta of degree at most k: binom(±beta, k) has
+    degree k, and so has the T^k coefficient of 1 - qhat_inv T (it is
+    -qhat_inv_{k-1}, and qhat_inv_{k-1} = -binom(-beta, k)) and, by induction
+    on the inverse recurrence, that of its inverse; a product's T^k
+    coefficient sums products of degrees i and k - i.  Evaluation at beta = m
+    is a ring map Q[beta] -> Q that sends binom(±beta, k) to the integer
+    binom(±m, k), and it commutes with the product and with the inverse, since
+    the constant term is 1.  A polynomial of degree at most k <= order that
+    vanishes at order+1 distinct points is zero, so each identity holds
+    through T^order in Q[beta][[T]] exactly when it holds at every point
+    (order+2 of them, one more than needed).
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -325,21 +365,17 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
         )
     )
 
-    qhi = q_hat_inv_poly(order)
-    one = TruncSeries.one(qhi.ring, order + 1)
-    one_minus = (one - qhi.shifted(1)).truncated(order)
-    binom = binomial_poly_series(order)
-    product_ok = (one_minus * binom).is_one_series()
-    inverse_ok = one_minus.inverse().agrees_with(binom, through=order)
+    verdicts = [_prop2_at(m, order) for m in prop2_points(order)]
+    relation_ok = all(r for r, _ in verdicts)
     checks.append(
         Check(
             "(1 - qhat_inv T)^-1 == (1+T)^beta",
-            product_ok and inverse_ok,
-            None if product_ok and inverse_ok else "defining relation fails",
+            relation_ok,
+            None if relation_ok else "defining relation fails",
         )
     )
 
-    vandermonde_ok = (binom * binomial_poly_series(order, negate=True)).is_one_series()
+    vandermonde_ok = all(v for _, v in verdicts)
     checks.append(
         Check(
             "(1+T)^beta * (1+T)^-beta == 1",

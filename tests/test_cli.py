@@ -2,9 +2,14 @@
 fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tatecalc
 from tatecalc.cli import main
 
 
@@ -122,7 +127,33 @@ def test_verify_refuses_prop2_above_its_bound(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--order", "1000")
     assert code == 2
     assert out == ""
-    assert err.strip() == "error: order 1000 is above the prop2 bound 128"
+    assert err.strip() == "error: order 1000 is above the prop2 bound 256"
+
+
+def test_eval_order_zero_drops_the_higher_given_terms(capsys):
+    # 1 - q T is built with order 0 before inverting, so its T term is dropped
+    code, out, err = run(capsys, "eval", "geom(q)", "--order", "0")
+    assert (code, out.strip(), err) == (0, "1", "")
+    code, out, err = run(capsys, "eval", "T", "--order", "0")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: order 0 below lowest exponent 1"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the JSON is far larger than a pipe's buffer, so writing it must meet the
+    # closed reader whatever the timing
+    src = Path(tatecalc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tatecalc.cli", "report", "q-integrality", "--order", "40", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_expand_text(capsys):

@@ -7,13 +7,15 @@ independently of the numerical-polynomial multiplication it certifies.
 
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
-from tatecalc.basis import NumericalPoly
+from tatecalc.basis import NumericalPoly, binom_ints
 from tatecalc.errors import DomainError, NotInvertibleError
 from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly, binom_poly
+from tatecalc.series import TruncSeries
 from tatecalc import tate_k
 from tatecalc.tate_k import ONE_MINUS_Q, TateKElem
 
@@ -218,6 +220,77 @@ def test_verify_prop2_defect_injection():
     report = tate_k.verify_prop2(8, defect=3)
     assert not report.passed
     assert "T^3" in report.first_defect
+
+
+def qbeta_prop2_verdicts(order, binom=None):
+    """Oracle: prop2's two series checks built in Q[beta][[T]] as a whole,
+    without evaluation; `binom` replaces the (1+T)^beta series."""
+    inv_pow = tate_k.binomial_poly_series(order + 1, negate=True)
+    one = TruncSeries.one(inv_pow.ring, order + 1)
+    qhi = (one - inv_pow).shifted(-1).truncated(order)
+    one_minus = (one - qhi.shifted(1)).truncated(order)
+    binom = binom or tate_k.binomial_poly_series(order)
+    product_ok = (one_minus * binom).is_one_series()
+    inverse_ok = one_minus.inverse().agrees_with(binom, through=order)
+    vandermonde_ok = (binom * tate_k.binomial_poly_series(order, negate=True)).is_one_series()
+    return product_ok and inverse_ok, vandermonde_ok
+
+
+def series_verdicts(report):
+    return tuple(c.passed for c in report.checks[1:])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 16, 32])
+def test_prop2_evaluation_matches_qbeta_oracle(order):
+    assert series_verdicts(tate_k.verify_prop2(order)) == qbeta_prop2_verdicts(order) == (True, True)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 16])
+def test_prop2_wrong_top_binomial_fails_both_paths(order, monkeypatch):
+    # binom(beta, order) + delta with delta of degree `order` vanishing at
+    # every evaluation point but the two ends: the tightest case for the
+    # degree argument, seen at just 2 of the order+2 points
+    points = tate_k.prop2_points(order)
+    beta = MultiPoly.var(("beta",), "beta")
+    delta_poly = MultiPoly.const(("beta",), 1)
+    for m in points[1:-1]:
+        delta_poly = delta_poly * (beta - m)
+
+    def delta(m):
+        return prod(m - j for j in points[1:-1])
+
+    binom = tate_k.binomial_poly_series(order)
+    coeffs = list(binom.coeffs)
+    coeffs[order] = coeffs[order] + delta_poly
+    wrong = TruncSeries(binom.ring, 0, order, coeffs)
+    assert qbeta_prop2_verdicts(order, wrong) == (False, False)
+
+    true_binom_ints = tate_k.binom_ints
+
+    def wrong_binom_ints(m, n):
+        out = true_binom_ints(m, n)
+        if n == order:  # the (1+T)^beta side; (1+T)^-beta is built to order+1
+            out[order] += delta(m)
+        return out
+
+    monkeypatch.setattr(tate_k, "binom_ints", wrong_binom_ints)
+    report = tate_k.verify_prop2(order)
+    assert series_verdicts(report) == (False, False)
+    assert [c.first_defect for c in report.checks[1:]] == [
+        "defining relation fails", "binomial convolution does not telescope"]
+
+
+def test_prop2_points_are_order_plus_two_distinct_integers():
+    for order in range(1, 40):
+        points = tate_k.prop2_points(order)
+        assert len(set(points)) == order + 2
+
+
+def test_binom_ints_matches_comb():
+    for m in range(0, 12):
+        assert binom_ints(m, 14) == [comb(m, k) for k in range(15)]
+    for m in range(1, 12):
+        assert binom_ints(-m, 14) == [(-1) ** k * comb(m + k - 1, k) for k in range(15)]
 
 
 def test_q_series_frozen_coefficients():
