@@ -4,8 +4,9 @@ Core surfaces:
 
 * laurent / multipoly / basis -- the exact coefficient tower (Laurent
   polynomials, Q[x,...] polynomials, divided powers, numerical polynomials),
-  plus RationalFunction, the canonical num/den form the q-integrality report
-  prints.
+  plus RationalFunction, the num/(d*beta^m) form in which the q-integrality
+  report prints a Laurent coefficient; it lives in multipoly because the
+  benchmark's tracer looks it up there by name.
 * series -- truncated Laurent-tailed series with exp/log/inverse/division over
   pluggable rings, plus Bernoulli numbers.
 * tate_h / tate_k -- the two Tate rings, their boundary/quotient splittings,

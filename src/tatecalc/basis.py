@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping
 
 from .arith import power
 from .errors import DomainError, InexactDivisionError
-from .laurent import render_terms
+from .laurent import LaurentPoly, render_terms
 from .multipoly import MultiPoly, binom_polys
 
 
@@ -254,17 +254,22 @@ def _finite_differences(values: list) -> list:
 
 
 def numerical_mul(x: NumericalPoly, y: NumericalPoly) -> NumericalPoly:
-    """Product as numerical functions, re-expressed in the binomial basis.
+    """Product in the binomial basis, by the structure constants
 
-    The binom(beta,k) coordinate of the product is the k-th finite difference
-    at 0 of the pointwise product; integrality is automatic.
+        binom(beta,i) binom(beta,j) = sum_{k=max(i,j)}^{i+j} C(k,i) C(i,k-j) binom(beta,k),
+
+    the counterpart of the divided powers' b_i b_j = C(i+j,i) b_{i+j}.  Each
+    constant follows from the one before by a running ratio, exact in integers.
     """
-    if x.is_zero() or y.is_zero():
-        return NumericalPoly.zero()
-    deg = x.degree() + y.degree()
-    values = [x.evaluate(n) * y.evaluate(n) for n in range(deg + 1)]
-    coords = _finite_differences(values)
-    return NumericalPoly({k: c for k, c in enumerate(coords)})
+    out: dict[int, int] = {}
+    for i, a in x.coords.items():
+        for j, b in y.coords.items():
+            lo = max(i, j)
+            t = a * b * comb(lo, i) * comb(i, lo - j)
+            for k in range(lo, i + j + 1):
+                out[k] = out.get(k, 0) + t
+                t = t * (k + 1) * (i + j - k) // ((k + 1 - i) * (k + 1 - j))
+    return NumericalPoly(out)
 
 
 @dataclass(frozen=True)
@@ -279,22 +284,28 @@ class NotIntegral:
         return f"NotIntegral{{{bad}}}"
 
 
-def to_binomial_basis(p: MultiPoly) -> NumericalPoly | NotIntegral:
-    """Convert a univariate Q-polynomial to the binomial basis.
+def to_binomial_basis(p: LaurentPoly) -> NumericalPoly | NotIntegral:
+    """Convert a polynomial in one variable to the binomial basis.
 
-    Coordinates are the iterated finite differences Δ^k p(0).  Returns a
-    NumericalPoly when all are integers, otherwise a NotIntegral report.
+    Coordinates are the iterated finite differences Δ^k p(0): p is scaled to
+    integer numerators over one denominator, evaluated at 0..deg by integer
+    Horner, differenced in integers and divided once per coordinate.  Returns
+    a NumericalPoly when all are integers, otherwise a NotIntegral report.
     """
-    if len(p.gens) != 1:
-        raise DomainError("binomial-basis conversion requires a univariate polynomial")
-    if p.is_zero():
-        return NumericalPoly.zero()
-    gen = p.gens[0]
-    deg = max(e[0] for e in p.terms)
-    values = [p.evaluate({gen: n}) for n in range(deg + 1)]
-    coords = _finite_differences(values)
-    pairs = [(k, c) for k, c in enumerate(coords) if c]
-    fractional = [(k, c) for k, c in pairs if c.denominator != 1]
+    if p.lo() < 0:
+        raise DomainError(f"binomial-basis conversion requires a polynomial, got {p}")
+    pairs, den = p._int_form()
+    nums = [0] * (p.hi() + 1)
+    for e, c in pairs:
+        nums[e] = c
+    values = []
+    for n in range(len(nums)):
+        v = 0
+        for c in reversed(nums):
+            v = v * n + c
+        values.append(v)
+    coords = [(k, Fraction(d, den)) for k, d in enumerate(_finite_differences(values)) if d]
+    fractional = [(k, c) for k, c in coords if c.denominator != 1]
     if fractional:
-        return NotIntegral(coords=tuple(pairs), fractional=tuple(fractional))
-    return NumericalPoly({k: int(c) for k, c in pairs})
+        return NotIntegral(coords=tuple(coords), fractional=tuple(fractional))
+    return NumericalPoly({k: int(c) for k, c in coords})

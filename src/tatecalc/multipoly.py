@@ -1,4 +1,4 @@
-"""Multivariate polynomials over Q, and the canonical display form of a quotient.
+"""Multivariate polynomials over Q, and the display form of a Laurent quotient.
 
 MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
 generator tuple.  Products are fraction-free: `MultiPoly.accumulator` sums any
@@ -9,18 +9,19 @@ kernel keeps one accumulator per output coefficient, and `__mul__` is the
 one-product case.  `binom_polys` builds the falling-factorial binomials
 incrementally.
 
-RationalFunction is not a coefficient ring: it puts a univariate num/den pair
-in canonical form (coprime, integer coefficients of content 1, denominator
-leading coefficient positive), which is how the q-integrality report prints
-its coefficients.
+RationalFunction is not a coefficient ring: it writes a Laurent polynomial in
+one variable as num/(d*var^m) with integer coefficients of content 1, which
+is how the q-integrality report prints its coefficients.  It stays in this
+module, under this name, because the benchmark's tracer (`perfbench/tracer.py`)
+wraps `multipoly.RationalFunction` by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
 from .arith import DenseAccumulator, power
@@ -228,19 +229,6 @@ class MultiPoly:
 
     # -- structure ------------------------------------------------------------
 
-    def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
-        missing = [g for g in self.gens if g not in values]
-        if missing:
-            raise DomainError(f"no value supplied for generator(s) {missing}")
-        total = Fraction(0)
-        for expo, v in self.terms.items():
-            term = v
-            for g, e in zip(self.gens, expo):
-                if e:
-                    term = term * Fraction(values[g]) ** e
-            total += term
-        return total
-
     def collapse(self, src: str, dst: str) -> MultiPoly:
         """Substitute generator src := dst, dropping src from the generator list."""
         if src not in self.gens or dst not in self.gens:
@@ -259,21 +247,6 @@ class MultiPoly:
             else:
                 out.pop(key, None)
         return MultiPoly(new_gens, out)
-
-    def dense(self) -> list[Fraction]:
-        """Coefficient list for a univariate polynomial, low to high."""
-        if len(self.gens) != 1:
-            raise DomainError("dense form requires a univariate polynomial")
-        if not self.terms:
-            return []
-        out = [Fraction(0)] * (max(e[0] for e in self.terms) + 1)
-        for (e,), v in self.terms.items():
-            out[e] = v
-        return out
-
-    @classmethod
-    def from_dense(cls, gen: str, coeffs: Iterable[Fraction | int]) -> MultiPoly:
-        return cls((gen,), {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
 
     def to_laurent(self) -> LaurentPoly:
         """The same univariate polynomial as a Laurent polynomial in its generator."""
@@ -350,91 +323,38 @@ def binom_poly(x: MultiPoly, k: int) -> MultiPoly:
     return binom_polys(x, k)[k]
 
 
-# -- univariate helpers for the fraction field --------------------------------
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of dense univariate polynomials over Q."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # a mod b
-        while len(a) >= len(b):
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= f * c
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
 class RationalFunction:
-    """num/den of univariate polynomials in canonical integer-coprime form."""
+    """A Laurent polynomial c in one variable written as num/den, the form in
+    which the q-integrality report prints its coefficients.
+
+    When lo c >= 0, num is c and den is 1.  Otherwise den = d*var^m with
+    m = -lo c and d the lcm of c's coefficient denominators, and num = c*den.
+    num has a nonzero constant term, so it is coprime to var^m and no
+    polynomial gcd is needed.  Its integer coefficients have no factor in
+    common with d either: for each prime p | d, the coefficient whose
+    denominator carries the full power of p in d has a numerator prime to p.
+    So num's integer content is already 1, and c's rational content shows as
+    d in the denominator.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        if num.gens != den.gens or len(num.gens) != 1:
-            raise VariableMismatchError("rational functions are univariate over one generator")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = MultiPoly.zero(num.gens)
-            self.den = MultiPoly.const(num.gens, 1)
+    def __init__(self, c: LaurentPoly):
+        m = -c.lo()
+        if m <= 0:
+            self.num, self.den = c, LaurentPoly.one(c.var)
             return
-        g = _poly_gcd(num.dense(), den.dense())
-        if len(g) > 1:
-            gp = MultiPoly.from_dense(num.gens[0], g)
-            num = num.div_exact(gp)
-            den = den.div_exact(gp)
-        # clear denominators, strip content, fix the sign of the leading coefficient
-        scale = 1
-        for v in list(num.terms.values()) + list(den.terms.values()):
-            scale = lcm(scale, v.denominator)
-        nn = {e: int(v * scale) for e, v in num.terms.items()}
-        dd = {e: int(v * scale) for e, v in den.terms.items()}
-        content = 0
-        for v in list(nn.values()) + list(dd.values()):
-            content = gcd(content, v)
-        lead = dd[max(dd)]
-        if lead < 0:
-            content = -content
-        self.num = MultiPoly(num.gens, {e: Fraction(v, content) for e, v in nn.items()})
-        self.den = MultiPoly(num.gens, {e: Fraction(v, content) for e, v in dd.items()})
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_polynomial(self) -> MultiPoly:
-        if not self.is_polynomial():
-            raise DomainError(f"{self} is not a polynomial")
-        return self.num * (Fraction(1) / self.den.constant_value())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    __hash__ = None
+        pairs, d = c._int_form()
+        self.num = LaurentPoly(c.var, {e + m: v for e, v in pairs})
+        self.den = LaurentPoly(c.var, {m: d})
 
     def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.as_polynomial())
+        if self.den == 1:
+            return str(self.num)
         num, den = str(self.num), str(self.den)
-        if len(self.num.terms) > 1:
+        if len(self.num.coeffs) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1 or "*" in den or "^" in den:
+        if "*" in den or "^" in den:
             den = f"({den})"
         return f"{num}/{den}"
 

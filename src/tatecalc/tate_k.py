@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import power
-from .basis import NumericalPoly, binom_ints, numerical_mul
+from .basis import NotIntegral, NumericalPoly, binom_ints, numerical_mul, to_binomial_basis
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly, RationalFunction, binom_polys
@@ -449,20 +449,14 @@ class IntegralityReport:
 
 
 def integrality_report(order: int) -> IntegralityReport:
-    from .basis import NotIntegral, to_binomial_basis
-
     q = q_series(order)
-    gens = ("beta",)
     entries = []
     for label, series in (("q", q), ("beta*q", q.scalar_mul(LaurentPoly("beta", {1: 1})))):
         for k in range(0, order + 1):
             c: LaurentPoly = series.coeff(k)
-            # c = num / beta^m with num a polynomial; m = 0 exactly when c is one
-            m = max(0, -c.lo())
-            num = MultiPoly(gens, {(e + m,): v for e, v in c.coeffs.items()})
-            value = str(RationalFunction(num, MultiPoly(gens, {(m,): 1})))
+            value = str(RationalFunction(c))
             if c.lo() >= 0:
-                conv = to_binomial_basis(num)
+                conv = to_binomial_basis(c)
                 if isinstance(conv, NotIntegral):
                     coords = tuple((k2, str(v)) for k2, v in conv.coords)
                     integral = False

@@ -1,7 +1,9 @@
 """Divided powers and numerical polynomials against independent oracles.
 
 The divided-power oracle multiplies in Q[b] (b_k represented as b^k/k!); the
-numerical-polynomial oracle works through pointwise integer values.
+numerical-polynomial oracle works through pointwise integer values; the
+binomial-basis conversion oracle evaluates over Fraction at 0..deg and takes
+finite differences.
 """
 
 import random
@@ -9,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tatecalc.basis import (
     DividedPowerElem,
@@ -19,6 +22,7 @@ from tatecalc.basis import (
     to_binomial_basis,
 )
 from tatecalc.errors import DomainError
+from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly
 
 
@@ -103,13 +107,15 @@ def test_numerical_frozen_examples():
 
 
 def test_numerical_product_values_agree_pointwise():
+    # deg + 1 points fix the product; index 40 reaches far along the running ratio
     rng = random.Random(11)
-    for _ in range(100):
-        x = NumericalPoly({rng.randint(0, 5): rng.randint(-4, 4) for _ in range(3)})
-        y = NumericalPoly({rng.randint(0, 5): rng.randint(-4, 4) for _ in range(3)})
-        p = numerical_mul(x, y)
-        for n in range(21):
-            assert p.evaluate(n) == x.evaluate(n) * y.evaluate(n)
+    for top, pairs in ((5, 100), (40, 20)):
+        for _ in range(pairs):
+            x = NumericalPoly({rng.randint(0, top): rng.randint(-4, 4) for _ in range(3)})
+            y = NumericalPoly({rng.randint(0, top): rng.randint(-4, 4) for _ in range(3)})
+            p = numerical_mul(x, y)
+            for n in range(-3, max(21, x.degree() + y.degree() + 2)):
+                assert p.evaluate(n) == x.evaluate(n) * y.evaluate(n)
 
 
 def test_numerical_evaluate_matches_comb():
@@ -122,20 +128,70 @@ def test_numerical_evaluate_matches_comb():
 # -- binomial-basis conversion --------------------------------------------------------
 
 
+def fraction_binomial_oracle(p: LaurentPoly) -> tuple[list, list]:
+    """(coords, fractional) by the Fraction construction: evaluate p over
+    Fraction at 0..deg, then take forward differences at 0."""
+    row = [sum(Fraction(v) * n ** e for e, v in p.coeffs.items()) for n in range(p.hi() + 1)]
+    coords = []
+    for k in range(len(row)):
+        if row[0]:
+            coords.append((k, row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
+    return coords, [(k, c) for k, c in coords if c.denominator != 1]
+
+
+def conversion_split(conv: NumericalPoly | NotIntegral) -> tuple[list, list]:
+    if isinstance(conv, NotIntegral):
+        return list(conv.coords), list(conv.fractional)
+    return [(k, Fraction(v)) for k, v in sorted(conv.coords.items())], []
+
+
+def assert_matches_oracle(p: LaurentPoly) -> None:
+    assert conversion_split(to_binomial_basis(p)) == fraction_binomial_oracle(p)
+
+
 def test_to_binomial_basis_examples():
     x = MultiPoly.var(("x",), "x")
-    assert to_binomial_basis(x * x) == NumericalPoly({1: 1, 2: 2})
-    half = to_binomial_basis((x + 1).div_int(2))
+    assert to_binomial_basis((x * x).to_laurent()) == NumericalPoly({1: 1, 2: 2})
+    half = to_binomial_basis((x + 1).div_int(2).to_laurent())
     assert isinstance(half, NotIntegral)
     assert dict(half.fractional)[0] == Fraction(1, 2)
-    assert to_binomial_basis(MultiPoly.zero(("x",))) == NumericalPoly.zero()
+    assert to_binomial_basis(LaurentPoly.zero("x")) == NumericalPoly.zero()
+    assert to_binomial_basis(LaurentPoly("x", {0: -7})) == NumericalPoly({0: -7})
+
+
+def test_to_binomial_basis_rejects_negative_exponents():
+    with pytest.raises(DomainError):
+        to_binomial_basis(LaurentPoly("beta", {-1: 1, 0: 1}))
+
+
+@given(st.dictionaries(
+    st.integers(0, 40),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    max_size=8,
+))
+def test_to_binomial_basis_matches_fraction_oracle(coeffs):
+    assert_matches_oracle(LaurentPoly("x", coeffs))
+
+
+def test_to_binomial_basis_matches_fraction_oracle_seeded():
+    rng = random.Random(13)
+    cases = [LaurentPoly("x"), LaurentPoly("x", {0: 5}), LaurentPoly("x", {0: Fraction(-3, 4)})]
+    for deg in (1, 2, 7, 23, 40):
+        for _ in range(4):
+            cases.append(LaurentPoly("x", {
+                e: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 6, 7, 12, 720)))
+                for e in range(deg + 1)
+            } | {deg: Fraction(rng.choice((-1, 1)), rng.randint(1, 9))}))
+    for p in cases:
+        assert_matches_oracle(p)
 
 
 def test_binomial_basis_round_trip():
     rng = random.Random(3)
     for _ in range(50):
         original = NumericalPoly({rng.randint(0, 7): rng.randint(-6, 6) for _ in range(4)})
-        back = to_binomial_basis(original.to_polynomial("x"))
+        back = to_binomial_basis(original.to_polynomial("x").to_laurent())
         assert back == original
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,11 +79,9 @@ def test_collapse_merges_generators():
     assert p.collapse("y", "x") == MultiPoly(("x",), {(2,): 2})
 
 
-def test_evaluate():
-    x = MultiPoly.var(GENS, "x")
-    y = MultiPoly.var(GENS, "y")
-    p = x * x + y * 3 + 1
-    assert p.evaluate({"x": 2, "y": Fraction(1, 3)}) == 6
+def value_at(p: MultiPoly, x: Fraction | int) -> Fraction:
+    """A univariate polynomial at a rational point, term by term over Fraction."""
+    return sum((v * Fraction(x) ** e for (e,), v in p.terms.items()), Fraction(0))
 
 
 def test_binom_poly_expands_falling_factorial():
@@ -93,7 +92,7 @@ def test_binom_poly_expands_falling_factorial():
     assert binom_poly(beta, 0) == MultiPoly.const(("beta",), 1)
     # agreement with scalar binomials at integer points
     for n in range(8):
-        assert binom_poly(beta, 3).evaluate({"beta": n}) == Fraction(
+        assert value_at(binom_poly(beta, 3), n) == Fraction(
             n * (n - 1) * (n - 2), 6
         )
 
@@ -105,24 +104,38 @@ def test_inverse_display_generators():
 
 
 class TestRationalFunction:
-    beta = MultiPoly.var(("beta",), "beta")
-
-    def rf(self, num, den):
-        return RationalFunction(num, den)
+    @staticmethod
+    def shown(coeffs):
+        return str(RationalFunction(LaurentPoly("beta", coeffs)))
 
     def test_normal_form(self):
-        b = self.beta
-        r = self.rf(b + 1, b * 2)
-        assert str(r) == "(1 + beta)/(2*beta)"
-        # common factors cancel, scaling is fixed
-        r2 = self.rf((b + 1) * b * 2, b * b * 4)
-        assert r2 == r
-        # denominator leading coefficient is positive
-        r3 = self.rf(b + 1, b * -2)
-        assert r3.den.coeff((1,)) > 0
+        assert self.shown({-1: Fraction(1, 2), 0: Fraction(1, 2)}) == "(1 + beta)/(2*beta)"
+        assert self.shown({-2: 1, 1: -3}) == "(1 - 3*beta^3)/(beta^2)"
 
-    def test_polynomial_detection(self):
-        b = self.beta
-        assert self.rf(b * b - 1, b + 1).is_polynomial()
-        assert self.rf(b * b - 1, b + 1).as_polynomial() == b - 1
-        assert not self.rf(b + 1, b).is_polynomial()
+    def test_one_term_numerator_has_no_parentheses(self):
+        assert self.shown({-1: 3}) == "3/beta"
+        assert self.shown({-2: Fraction(-1, 4)}) == "-1/(4*beta^2)"
+
+    def test_content_moves_to_the_denominator(self):
+        assert self.shown({-1: Fraction(1, 6), 0: Fraction(1, 3)}) == "(1 + 2*beta)/(6*beta)"
+        assert self.shown({-1: 2, 0: 4}) == "(2 + 4*beta)/beta"
+
+    @given(st.dictionaries(st.integers(-4, 4), small_fracs, min_size=1, max_size=5))
+    def test_numerator_is_coprime_to_the_denominator(self, coeffs):
+        c = LaurentPoly("beta", coeffs)
+        r = RationalFunction(c)
+        if c.lo() >= 0:
+            assert (r.num, r.den) == (c, 1)
+            return
+        (m, d), = r.den.coeffs.items()
+        assert m == -c.lo() and d > 0
+        assert r.num.lo() == 0 and r.num.is_integral()
+        assert gcd(d, *r.num.coeffs.values()) == 1
+        assert r.num == c.shifted(m) * d
+
+    def test_polynomial_renders_as_itself(self):
+        c = LaurentPoly("beta", {0: Fraction(1, 2), 2: -3})
+        assert self.shown(c.coeffs) == str(c) == "1/2 - 3*beta^2"
+
+    def test_zero_renders_0(self):
+        assert self.shown({}) == "0"

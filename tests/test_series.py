@@ -483,7 +483,7 @@ def test_binomial_poly_series_is_binom_poly(negate):
         # k + 1 integer points fix a polynomial of degree k
         for m in range(1, k + 2):
             want = (-1) ** k * comb(m + k - 1, k) if negate else comb(m, k)
-            assert c.evaluate({"beta": m}) == want
+            assert sum(v * m ** e for (e,), v in c.terms.items()) == want
 
 
 # -- Bernoulli ---------------------------------------------------------------------------
