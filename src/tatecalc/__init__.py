@@ -2,9 +2,11 @@
 
 Core surfaces:
 
-* laurent / multipoly / basis -- the exact coefficient tower (Laurent
-  polynomials, Q[x,...] polynomials, divided powers, numerical polynomials),
-  plus RationalFunction, the num/(d*beta^m) form in which the q-integrality
+* laurent / multipoly / basis -- the exact coefficient tower: Laurent
+  polynomials (every one-variable series the engine builds runs over them,
+  and they carry the symbolic binomials), Q[x,...] polynomials for renorm and
+  the evaluator's series mode, divided powers and numerical polynomials; plus
+  RationalFunction, the num/(d*beta^m) form in which the q-integrality
   report prints a Laurent coefficient; it lives in multipoly because the
   benchmark's tracer looks it up there by name.
 * series -- truncated Laurent-tailed series with exp/log/inverse/division over

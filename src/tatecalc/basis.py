@@ -14,7 +14,6 @@ from typing import Mapping
 from .arith import power
 from .errors import DomainError, InexactDivisionError
 from .laurent import LaurentPoly, render_terms
-from .multipoly import MultiPoly, binom_polys
 
 
 def binom_int(n: int, k: int) -> int:
@@ -223,14 +222,6 @@ class NumericalPoly:
     def evaluate(self, n: int) -> int:
         """Value at an integer argument; always an integer."""
         return sum(v * binom_int(n, k) for k, v in self.coords.items())
-
-    def to_polynomial(self, gen: str = "beta") -> MultiPoly:
-        """Expanded Q[beta] form."""
-        total = MultiPoly.zero((gen,))
-        binoms = binom_polys(MultiPoly.var((gen,), gen), self.degree())
-        for k, v in self.coords.items():
-            total = total + binoms[k] * v
-        return total
 
     def __str__(self) -> str:
         terms = sorted(self.coords.items())

@@ -18,7 +18,7 @@ from . import expansions, tate_h, tate_k
 from .errors import TateCalcError
 from .evaluator import EvalError, evaluate, infer_mode, value_json
 from .parser import parse
-from .verify import SUITE_NAMES, run_suite
+from .verify import Q_INTEGRALITY_MAX_ORDER, SUITE_NAMES, run_suite
 
 _PUNCTURES = {"0": expansions.Puncture.ZERO, "1": expansions.Puncture.ONE,
               "inf": expansions.Puncture.INFINITY}
@@ -106,6 +106,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.name == "q-integrality":
+        if args.order > Q_INTEGRALITY_MAX_ORDER:
+            raise TateCalcError(
+                f"order {args.order} is above the q-integrality bound {Q_INTEGRALITY_MAX_ORDER}"
+            )
         rep = tate_k.integrality_report(args.order)
         print(json.dumps(rep.to_json(), indent=2) if args.json else rep)
         return 0

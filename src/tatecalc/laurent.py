@@ -6,9 +6,12 @@ through.  Integral coefficients are always stored as int, so integrality is a
 structural property of the value rather than a mode flag.
 
 Products are sums of products: `accumulator` collects any number of them as
-integer numerators over one common denominator (`arith.DenseAccumulator`) and
-normalises once, and `__mul__` is the one-product case.  The series kernel
-uses the same accumulator per output coefficient.
+one dense list of integer numerators over one common denominator
+(`DenseAccumulator`) and normalises once, and `__mul__` is the one-product
+case.  The series kernel uses the same accumulator per output coefficient, so
+every one-variable series the engine builds (over Q[b^±1], Q[x^±1],
+Q[beta^±1], Z[c^±1], ...) runs on it.  `binomials` gives the falling-factorial
+binomials binom(x, k) of a Laurent polynomial x by their running recurrence.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping
 
-from .arith import DenseAccumulator, power
+from .arith import power
 from .errors import InexactDivisionError, NotInvertibleError, VariableMismatchError
 
 Scalar = int | Fraction
@@ -124,26 +127,9 @@ class LaurentPoly:
         return self._int_cache
 
     @staticmethod
-    def _from_ints(var: str, lo: int, nums: list[int], den: int) -> LaurentPoly:
-        """sum_i nums[i]/den var^(lo+i), integral coefficients as int."""
-        out = object.__new__(LaurentPoly)
-        out.var = var
-        out._int_cache = None
-        if den == 1:
-            out.coeffs = {e: c for e, c in enumerate(nums, lo) if c}
-            return out
-        coeffs = {}
-        for e, c in enumerate(nums, lo):
-            if c:
-                q, r = divmod(c, den)
-                coeffs[e] = Fraction(c, den) if r else q
-        out.coeffs = coeffs
-        return out
-
-    @staticmethod
     def accumulator(var: str) -> DenseAccumulator:
         """An empty sum of products of Laurent polynomials in `var`."""
-        return DenseAccumulator(LaurentPoly._int_form, LaurentPoly._from_ints, var)
+        return DenseAccumulator(var)
 
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
@@ -181,6 +167,15 @@ class LaurentPoly:
 
     def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> LaurentPoly:
         return LaurentPoly(self.var, {e: fn(v) for e, v in self.coeffs.items()})
+
+    def binomials(self, n: int) -> list[LaurentPoly]:
+        """[binom(self, 0), ..., binom(self, n)], the falling-factorial binomials
+        of this polynomial, by the running recurrence
+        binom(x, k) = binom(x, k-1) (x - k + 1) / k."""
+        out = [LaurentPoly.one(self.var)]
+        for k in range(1, n + 1):
+            out.append(out[-1] * (self - (k - 1)) * Fraction(1, k))
+        return out
 
     def div_scalar_exact(self, n: Scalar) -> LaurentPoly:
         """Divide by a scalar, staying integral when the input is integral."""
@@ -242,6 +237,77 @@ class LaurentPoly:
         for e, v in sorted(self.coeffs.items()):
             f = Fraction(v)
             out.append([e, str(f.numerator), str(f.denominator)])
+        return out
+
+
+class DenseAccumulator:
+    """A sum of products x*y of Laurent polynomials in one variable, fraction-free.
+
+    The sum is one dense list of integer numerators, nums[i] at exponent
+    lo + i, over one common denominator, read from each factor's cached
+    `_int_form`; `value` normalises it once, however many products went into
+    it.  A product's denominator joins the common one by lcm only when it
+    does not divide it already.
+    """
+
+    __slots__ = ("var", "lo", "nums", "den")
+
+    def __init__(self, var: str):
+        self.var = var
+        self.lo = 0
+        self.nums: list[int] = []
+        self.den = 1
+
+    def add(self, x: LaurentPoly, y: LaurentPoly) -> None:
+        xs, dx = x._int_form()
+        ys, dy = y._int_form()
+        if not xs or not ys:
+            return
+        d = dx * dy
+        den = self.den
+        if den % d:
+            common = lcm(den, d)
+            scale = common // den
+            self.nums = [c * scale for c in self.nums]
+            self.den = den = common
+        f = den // d
+        lo = xs[0][0] + ys[0][0]
+        size = xs[-1][0] + ys[-1][0] - lo + 1
+        nums = self.nums
+        if not nums:
+            self.lo = lo
+            nums = self.nums = [0] * size
+        else:
+            if lo < self.lo:
+                nums[:0] = [0] * (self.lo - lo)
+                self.lo = lo
+            size += lo - self.lo
+            if size > len(nums):
+                nums.extend([0] * (size - len(nums)))
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        base = -self.lo
+        for i, c in xs:
+            c *= f
+            i += base
+            for j, v in ys:
+                nums[i + j] += c * v
+
+    def value(self) -> LaurentPoly:
+        """sum_i nums[i]/den var^(lo+i), integral coefficients as int."""
+        out = object.__new__(LaurentPoly)
+        out.var = self.var
+        out._int_cache = None
+        den = self.den
+        if den == 1:
+            out.coeffs = {e: c for e, c in enumerate(self.nums, self.lo) if c}
+            return out
+        coeffs = {}
+        for e, c in enumerate(self.nums, self.lo):
+            if c:
+                q, r = divmod(c, den)
+                coeffs[e] = Fraction(c, den) if r else q
+        out.coeffs = coeffs
         return out
 
 

@@ -1,13 +1,14 @@
 """Multivariate polynomials over Q, and the display form of a Laurent quotient.
 
 MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
-generator tuple.  Products are fraction-free: `MultiPoly.accumulator` sums any
-number of products x*y as integer numerators over one common denominator (a
-dense list in one generator, `arith.DenseAccumulator`; a sparse dict in
-several) and normalises to Fractions once, when the sum is read.  The series
-kernel keeps one accumulator per output coefficient, and `__mul__` is the
-one-product case.  `binom_polys` builds the falling-factorial binomials
-incrementally.
+generator tuple.  It does the multivariate work: renorm's Q[x,y], and the
+polynomials of the evaluator's series mode, over whichever generators an
+expression names.  Every one-variable series the engine builds itself runs
+over `LaurentPoly` instead.  Products are fraction-free: `MultiPoly.accumulator`
+sums any number of products x*y as integer numerators keyed by exponent
+vector over one common denominator, and normalises to Fractions once, when
+the sum is read.  The series kernel keeps one accumulator per output
+coefficient, and `__mul__` is the one-product case.
 
 RationalFunction is not a coefficient ring: it writes a Laurent polynomial in
 one variable as num/(d*var^m) with integer coefficients of content 1, which
@@ -24,7 +25,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
-from .arith import DenseAccumulator, power
+from .arith import power
 from .laurent import LaurentPoly, render_terms
 
 Expo = tuple[int, ...]
@@ -137,34 +138,20 @@ class MultiPoly:
     def __rsub__(self, other: Fraction | int) -> MultiPoly:
         return (-self) + other
 
-    def _int_form(self) -> tuple[list[tuple], int]:
-        """((exponent, integer numerator) pairs, common denominator), cached.
-
-        In one generator the exponent is an int and the pairs are sorted, the
-        form `DenseAccumulator` reads; in several it is the exponent vector.
-        """
+    def _int_form(self) -> tuple[list[tuple[Expo, int]], int]:
+        """((exponent vector, integer numerator) pairs, common denominator), cached."""
         if self._int_cache is None:
             den = 1
             for v in self.terms.values():
                 den = lcm(den, v.denominator)
             pairs = [(e, v.numerator * (den // v.denominator)) for e, v in self.terms.items()]
-            if len(self.gens) == 1:
-                pairs = sorted((e, c) for (e,), c in pairs)
             self._int_cache = (pairs, den)
         return self._int_cache
 
     @staticmethod
-    def _from_ints(gens: tuple[str, ...], lo: int, nums: list[int], den: int) -> MultiPoly:
-        """sum_i nums[i]/den gen^(lo+i) in the one generator."""
-        return MultiPoly(gens, {(e,): Fraction(c, den) for e, c in enumerate(nums, lo) if c})
-
-    @staticmethod
-    def accumulator(gens: Sequence[str]) -> DenseAccumulator | _SparseAccumulator:
+    def accumulator(gens: Sequence[str]) -> _SparseAccumulator:
         """An empty sum of products of polynomials over `gens`."""
-        gens = tuple(gens)
-        if len(gens) != 1:
-            return _SparseAccumulator(gens)
-        return DenseAccumulator(MultiPoly._int_form, MultiPoly._from_ints, gens)
+        return _SparseAccumulator(tuple(gens))
 
     def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -248,12 +235,6 @@ class MultiPoly:
                 out.pop(key, None)
         return MultiPoly(new_gens, out)
 
-    def to_laurent(self) -> LaurentPoly:
-        """The same univariate polynomial as a Laurent polynomial in its generator."""
-        if len(self.gens) != 1:
-            raise DomainError("Laurent form requires a univariate polynomial")
-        return LaurentPoly(self.gens[0], {e: v for (e,), v in self.terms.items()})
-
     def __str__(self) -> str:
         def mono(expo: Expo) -> str:
             return "*".join(_gen_power(g, e) for g, e in zip(self.gens, expo) if e)
@@ -272,9 +253,9 @@ class MultiPoly:
 
 
 class _SparseAccumulator:
-    """A sum of products of polynomials in several generators: integer
-    numerators keyed by exponent vector over one common denominator,
-    normalised once by `value`.  The sparse twin of `DenseAccumulator`."""
+    """A sum of products of polynomials: integer numerators keyed by exponent
+    vector over one common denominator, normalised once by `value`.  The
+    sparse twin of `laurent.DenseAccumulator`."""
 
     __slots__ = ("gens", "nums", "den")
 
@@ -305,22 +286,6 @@ class _SparseAccumulator:
     def value(self) -> MultiPoly:
         den = self.den
         return MultiPoly(self.gens, {e: Fraction(c, den) for e, c in self.nums.items() if c})
-
-
-def binom_polys(x: MultiPoly, n: int) -> list[MultiPoly]:
-    """[binom(x, 0), ..., binom(x, n)] for a polynomial argument, by the
-    running recurrence binom(x, k) = binom(x, k-1) (x - k + 1) / k."""
-    out = [MultiPoly.const(x.gens, 1)]
-    for k in range(1, n + 1):
-        out.append((out[-1] * (x - (k - 1))).div_int(k))
-    return out
-
-
-def binom_poly(x: MultiPoly, k: int) -> MultiPoly:
-    """Falling-factorial binomial x(x-1)...(x-k+1)/k! for a polynomial argument."""
-    if k < 0:
-        raise DomainError("binomial index must be non-negative")
-    return binom_polys(x, k)[k]
 
 
 class RationalFunction:

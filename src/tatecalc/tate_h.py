@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 from .basis import DividedPowerElem
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .multipoly import MultiPoly
 from .report import Check, VerificationReport
-from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring, poly_ring
+from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring
 
 
 def element(coeffs: dict[int, int]) -> LaurentPoly:
@@ -194,11 +194,11 @@ def _hom_coords(s: TruncSeries) -> tuple[int, ...]:
     """Extract the b_k coordinate (k! times the b^k coefficient) per power of T."""
     coords = []
     for k in range(s.low, s.order + 1):
-        c: MultiPoly = s.coeff(k)
-        extra = {e: v for e, v in c.terms.items() if e != (k,)}
+        c: LaurentPoly = s.coeff(k)
+        extra = {e: v for e, v in c.coeffs.items() if e != k}
         if extra:
             raise DomainError(f"T^{k} coefficient {c} is not a pure multiple of b^{k}")
-        v = c.coeff((k,)) * factorial(k)
+        v = Fraction(c.coeff(k)) * factorial(k)
         if v.denominator != 1:
             raise DomainError(f"non-integer divided-power coordinate {v} at T^{k}")
         coords.append(int(v))
@@ -207,11 +207,11 @@ def _hom_coords(s: TruncSeries) -> tuple[int, ...]:
 
 def exp_bT(order: int) -> GradedTSeries:
     """exp(bT) as a homology-side graded series; coordinates are all ones."""
-    ring = poly_ring("b")
+    ring = laurent_coeff_ring("b")
     if order == 0:
         series = TruncSeries.one(ring, 0)
     else:
-        b = MultiPoly.var(("b",), "b")
+        b = LaurentPoly("b", {1: 1})
         series = TruncSeries.from_coeffs(ring, 1, [b], order=order).exp()
     return GradedTSeries(Grading.HOM_H, series.low, _hom_coords(series))
 
@@ -293,13 +293,13 @@ def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
 class BSeriesResult:
     """b expressed through c^-1: the series -T^-1 log(1 - xT) with x = c^-1."""
 
-    series: TruncSeries  # over Q[x]
+    series: TruncSeries  # over Q[x^±1], supported on x^1, x^2, ...
     exp_check_ok: bool   # exp(series*T) * (1 - xT) == 1 to the reliable order
 
 
 def b_series_from_c(order: int) -> BSeriesResult:
-    ring = poly_ring("x")
-    x = MultiPoly.var(("x",), "x")
+    ring = laurent_coeff_ring("x")
+    x = LaurentPoly("x", {1: 1})
     one_minus_xt = TruncSeries.from_coeffs(ring, 0, [ring.one, -x], order=order + 1)
     b_hat = -(one_minus_xt.log().shifted(-1))
     b_hat = b_hat.truncated(order)
@@ -313,21 +313,20 @@ class CSeriesResult:
     """c expressed through b: the reciprocal of (1 - e^(-bT))/T, with the sign
     of the matching Bernoulli form b^-1 B(-bT)."""
 
-    c_hat: TruncSeries       # over Q[b, b^-1]; starts at b^-1
-    c_hat_inv: TruncSeries   # over Q[b]
+    c_hat: TruncSeries       # over Q[b^±1]; starts at b^-1
+    c_hat_inv: TruncSeries   # over Q[b^±1], supported on b^1, b^2, ...
     matching_sign: int | None
     round_trip_ok: bool      # -T^-1 log(1 - c_hat_inv T) == b
 
 
 def c_series_from_b(order: int) -> CSeriesResult:
-    poly_b = poly_ring("b")
-    laur_b = laurent_coeff_ring("b", integral=False)
-    b = MultiPoly.var(("b",), "b")
+    ring = laurent_coeff_ring("b")
+    b = LaurentPoly("b", {1: 1})
 
-    minus_bt = TruncSeries.from_coeffs(poly_b, 1, [-b], order=order + 1)
-    c_hat_inv = (TruncSeries.one(poly_b, order + 1) - minus_bt.exp()).shifted(-1)
+    minus_bt = TruncSeries.from_coeffs(ring, 1, [-b], order=order + 1)
+    c_hat_inv = (TruncSeries.one(ring, order + 1) - minus_bt.exp()).shifted(-1)
     c_hat_inv = c_hat_inv.truncated(order)
-    c_hat = c_hat_inv.map_coeffs(MultiPoly.to_laurent, laur_b).inverse()
+    c_hat = c_hat_inv.inverse()
 
     # Bernoulli form: s * b^-1 * B(-bT); B(D) = sum (B_n/n!) D^n, so the T^n
     # coefficient is s * (-1)^n (B_n/n!) b^(n-1)
@@ -335,13 +334,13 @@ def c_series_from_b(order: int) -> CSeriesResult:
     base = [
         LaurentPoly("b", {n - 1: bern.coeff(n) * (-1) ** n}) for n in range(order + 1)
     ]
-    bform = TruncSeries(laur_b, 0, order, base)
+    bform = TruncSeries(ring, 0, order, base)
     matches = [s for s in (1, -1) if c_hat.agrees_with(bform.scalar_mul(s))]
     matching_sign = matches[0] if len(matches) == 1 else None
 
-    inner = TruncSeries.one(poly_b, order + 1) - c_hat_inv.shifted(1)
+    inner = TruncSeries.one(ring, order + 1) - c_hat_inv.shifted(1)
     round_trip = -(inner.log().shifted(-1))
-    expected_b = TruncSeries.from_coeffs(poly_b, 0, [b], order=order)
+    expected_b = TruncSeries.from_coeffs(ring, 0, [b], order=order)
     round_trip_ok = round_trip.agrees_with(expected_b, through=order)
 
     return CSeriesResult(

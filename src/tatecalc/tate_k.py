@@ -15,9 +15,9 @@ from .arith import power
 from .basis import NotIntegral, NumericalPoly, binom_ints, numerical_mul, to_binomial_basis
 from .errors import DomainError, NotInvertibleError
 from .laurent import LaurentPoly
-from .multipoly import MultiPoly, RationalFunction, binom_polys
+from .multipoly import RationalFunction
 from .report import Check, VerificationReport
-from .series import ZZ, TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring, poly_ring
+from .series import ZZ, TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring
 
 ONE_MINUS_Q = LaurentPoly("q", {0: 1, 1: -1})
 
@@ -230,10 +230,10 @@ def binomial_series(order: int) -> TruncSeries:
     return TruncSeries(ring, 0, order, [NumericalPoly.basis(k) for k in range(order + 1)])
 
 
-def binomial_poly_series(order: int, negate: bool = False, gen: str = "beta") -> TruncSeries:
-    """(1+T)^(±beta) over Q[beta]: the binomials binom(±beta, k), k <= order."""
-    beta = MultiPoly.var((gen,), gen)
-    return TruncSeries(poly_ring(gen), 0, order, binom_polys(-beta if negate else beta, order))
+def binomial_poly_series(order: int, negate: bool = False) -> TruncSeries:
+    """(1+T)^(±beta) over Q[beta^±1]: the binomials binom(±beta, k), k <= order."""
+    beta = LaurentPoly("beta", {1: -1 if negate else 1})
+    return TruncSeries(laurent_coeff_ring("beta"), 0, order, beta.binomials(order))
 
 
 def cartier_check(order0: int, order1: int) -> VerificationReport:
@@ -281,7 +281,7 @@ def cartier_check(order0: int, order1: int) -> VerificationReport:
 
 
 def q_hat_inv_poly(order: int) -> TruncSeries:
-    """(1 - (1+T)^-beta)/T over Q[beta]; T^k coefficient is -binom(-beta, k+1)."""
+    """(1 - (1+T)^-beta)/T over Q[beta^±1]; T^k coefficient is -binom(-beta, k+1)."""
     return _q_hat_inv(binomial_poly_series(order + 1, negate=True))
 
 
@@ -395,8 +395,7 @@ def q_series(order: int) -> TruncSeries:
     """
     if order < 0:
         raise DomainError("order must be non-negative")
-    ring = laurent_coeff_ring("beta")
-    return q_hat_inv_poly(order).map_coeffs(MultiPoly.to_laurent, ring).inverse()
+    return q_hat_inv_poly(order).inverse()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ run alone or inside `all`.
 Orders with superlinear cost are capped per suite (the cap is recorded in the
 report note); caps sit at or above every order the acceptance criteria pin.
 prop2 runs at the requested order, so orders above PROP2_MAX_ORDER (256, a
-few seconds) are refused with a typed error before any suite runs.
+few seconds) are refused with a typed error before any suite runs.  The CLI
+refuses `report q-integrality` above Q_INTEGRALITY_MAX_ORDER (128) the same way.
 """
 
 from __future__ import annotations
@@ -347,6 +348,12 @@ _CAP_NOTES = {
 # and 2.7 s at 256 in a fresh process (CPython 3.11, 2-vCPU VM), so above 256
 # `prop2` and `all` exit 2 instead of running for ever longer.
 PROP2_MAX_ORDER = 256
+
+# `report q-integrality` inverts the q^-1 series over Q[beta^±1], whose
+# coefficients grow with the order, and converts every coefficient to the
+# binomial basis.  It took 0.4 s at order 64, 3.5 s at 128 and 25 s at 200 in
+# a fresh process (CPython 3.11, 2-vCPU VM), so above 128 it exits 2.
+Q_INTEGRALITY_MAX_ORDER = 128
 
 
 def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> VerificationReport:

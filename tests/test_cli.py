@@ -197,6 +197,15 @@ def test_report_q_integrality_rejects_negative_order(capsys):
     assert err.strip() == "error: order must be non-negative"
 
 
+def test_report_q_integrality_refuses_orders_above_its_bound(capsys):
+    # refused before the q-series is built, so this returns at once
+    code, out, err = run(capsys, "report", "q-integrality", "--order", "129")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: order 129 is above the q-integrality bound 128"
+    assert run(capsys, "report", "q-integrality", "--order", "1000", "--json")[:2] == (2, "")
+
+
 def test_report_signs(capsys):
     code, out, _ = run(capsys, "report", "corollary-sign", "--order", "8")
     assert code == 0

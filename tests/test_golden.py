@@ -27,6 +27,9 @@ CASES = [
     ("eval_exp_bT_geom.txt", ["eval", "exp(b*T)*geom(cinv)", "--order", "24"]),
     ("eval_log_poly.json", ["eval", "log(1+b*T+c*T^2)", "--order", "6", "--json"]),
     ("eval_laurent_div.txt", ["eval", "T^-2*exp(T)/(1+T)", "--order", "5"]),
+    # one generator: series over a univariate MultiPoly
+    ("eval_exp_cinvT.txt", ["eval", "exp(cinv*T)", "--order", "12"]),
+    ("eval_log_qinvT.json", ["eval", "log(1+qinv*T)", "--order", "8", "--json"]),
     ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"]),
     ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"]),
     ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"]),

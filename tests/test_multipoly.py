@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from tatecalc.errors import DomainError, InexactDivisionError, NotInvertibleError
+from tatecalc.errors import InexactDivisionError, NotInvertibleError
 from tatecalc.laurent import LaurentPoly
-from tatecalc.multipoly import MultiPoly, RationalFunction, binom_poly
+from tatecalc.multipoly import MultiPoly, RationalFunction
 
 GENS = ("x", "y")
 
@@ -43,7 +43,7 @@ def test_fast_multiplication_matches_reference(a, b):
     st.dictionaries(st.tuples(st.integers(0, 6)), small_fracs, max_size=5),
     st.dictionaries(st.tuples(st.integers(0, 6)), small_fracs, max_size=5),
 )
-def test_univariate_dense_path_matches_reference(a, b):
+def test_univariate_multiplication_matches_reference(a, b):
     pa, pb = MultiPoly(("x",), a), MultiPoly(("x",), b)
     assert pa * pb == naive_mul(pa, pb)
 
@@ -65,13 +65,6 @@ def test_negative_power_is_typed_error():
         x ** -1
 
 
-def test_to_laurent_keeps_univariate_coefficients():
-    p = MultiPoly(("b",), {(0,): Fraction(1, 2), (3,): -2})
-    assert p.to_laurent() == LaurentPoly("b", {0: Fraction(1, 2), 3: -2})
-    with pytest.raises(DomainError):
-        MultiPoly.var(GENS, "x").to_laurent()
-
-
 def test_collapse_merges_generators():
     x = MultiPoly.var(GENS, "x")
     y = MultiPoly.var(GENS, "y")
@@ -79,20 +72,21 @@ def test_collapse_merges_generators():
     assert p.collapse("y", "x") == MultiPoly(("x",), {(2,): 2})
 
 
-def value_at(p: MultiPoly, x: Fraction | int) -> Fraction:
-    """A univariate polynomial at a rational point, term by term over Fraction."""
-    return sum((v * Fraction(x) ** e for (e,), v in p.terms.items()), Fraction(0))
+def value_at(p: LaurentPoly, x: Fraction | int) -> Fraction:
+    """A polynomial at a rational point, term by term over Fraction."""
+    return sum((v * Fraction(x) ** e for e, v in p.coeffs.items()), Fraction(0))
 
 
 def test_binom_poly_expands_falling_factorial():
-    beta = MultiPoly.var(("beta",), "beta")
+    # the binomials of a polynomial argument live on LaurentPoly
+    beta = LaurentPoly("beta", {1: 1})
     # binom(-beta, 2) = (-beta)(-beta - 1)/2 = beta(beta+1)/2
-    expected = (beta * beta + beta).div_int(2)
-    assert binom_poly(-beta, 2) == expected
-    assert binom_poly(beta, 0) == MultiPoly.const(("beta",), 1)
+    expected = (beta * beta + beta) * Fraction(1, 2)
+    assert (-beta).binomials(2)[2] == expected
+    assert beta.binomials(0) == [LaurentPoly.one("beta")]
     # agreement with scalar binomials at integer points
     for n in range(8):
-        assert value_at(binom_poly(beta, 3), n) == Fraction(
+        assert value_at(beta.binomials(3)[3], n) == Fraction(
             n * (n - 1) * (n - 2), 6
         )
 

@@ -14,7 +14,6 @@ import pytest
 from tatecalc.basis import NumericalPoly, binom_ints
 from tatecalc.errors import DomainError, NotInvertibleError
 from tatecalc.laurent import LaurentPoly
-from tatecalc.multipoly import MultiPoly, binom_poly
 from tatecalc.series import TruncSeries
 from tatecalc import tate_k
 from tatecalc.tate_k import ONE_MINUS_Q, TateKElem
@@ -152,14 +151,15 @@ def test_binomial_series_coefficients():
 
 def cartier_oracle_qbeta(n0: int, n1: int) -> bool:
     """(1+T0)^beta (1+T1)^beta == ((1+T0)(1+T1))^beta in Q[beta], coefficientwise."""
-    beta = MultiPoly.var(("beta",), "beta")
-    lhs: dict[tuple[int, int], MultiPoly] = {}
+    binoms = LaurentPoly("beta", {1: 1}).binomials(n0 + n1)
+    zero = LaurentPoly.zero("beta")
+    lhs: dict[tuple[int, int], LaurentPoly] = {}
     # expand sum_k binom(beta,k) (T0+T1+T0T1)^k by bivariate truncated powers
     power = {(0, 0): 1}
     for k in range(n0 + n1 + 1):
-        bk = binom_poly(beta, k)
+        bk = binoms[k]
         for e, v in power.items():
-            lhs[e] = lhs.get(e, MultiPoly.zero(("beta",))) + bk * v
+            lhs[e] = lhs.get(e, zero) + bk * v
         nxt: dict[tuple[int, int], int] = {}
         for (i, j), v in power.items():
             for (di, dj), w in (((1, 0), 1), ((0, 1), 1), ((1, 1), 1)):
@@ -171,8 +171,8 @@ def cartier_oracle_qbeta(n0: int, n1: int) -> bool:
             break
     for i in range(n0 + 1):
         for j in range(n1 + 1):
-            rhs = binom_poly(beta, i) * binom_poly(beta, j)
-            if lhs.get((i, j), MultiPoly.zero(("beta",))) != rhs:
+            rhs = binoms[i] * binoms[j]
+            if lhs.get((i, j), zero) != rhs:
                 return False
     return True
 
@@ -206,9 +206,9 @@ def test_cartier_rejects_bad_orders():
 
 def test_q_hat_inv_low_coefficients():
     s = tate_k.q_hat_inv_poly(4)
-    beta = MultiPoly.var(("beta",), "beta")
+    beta = LaurentPoly("beta", {1: 1})
     assert s.coeff(0) == beta
-    assert s.coeff(1) == -(beta * beta + beta).div_int(2)  # -beta(beta+1)/2
+    assert s.coeff(1) == -(beta * beta + beta) * Fraction(1, 2)  # -beta(beta+1)/2
 
 
 def test_verify_prop2():
@@ -251,8 +251,8 @@ def test_prop2_wrong_top_binomial_fails_both_paths(order, monkeypatch):
     # every evaluation point but the two ends: the tightest case for the
     # degree argument, seen at just 2 of the order+2 points
     points = tate_k.prop2_points(order)
-    beta = MultiPoly.var(("beta",), "beta")
-    delta_poly = MultiPoly.const(("beta",), 1)
+    beta = LaurentPoly("beta", {1: 1})
+    delta_poly = LaurentPoly.one("beta")
     for m in points[1:-1]:
         delta_poly = delta_poly * (beta - m)
 
@@ -304,8 +304,7 @@ def test_q_series_frozen_coefficients():
 
 def test_q_series_multiply_back_order_32():
     qs = tate_k.q_series(32)
-    q_hat_inv = tate_k.q_hat_inv_poly(32).map_coeffs(MultiPoly.to_laurent, qs.ring)
-    assert (qs * q_hat_inv).is_one_series()
+    assert (qs * tate_k.q_hat_inv_poly(32)).is_one_series()
 
 
 def test_q_series_coefficients_have_a_simple_pole_in_beta():
