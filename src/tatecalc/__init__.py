@@ -5,7 +5,8 @@ Core surfaces:
 * laurent / multipoly / basis -- the exact coefficient tower: Laurent
   polynomials (every one-variable series the engine builds runs over them,
   and they carry the symbolic binomials), Q[x,...] polynomials for renorm and
-  the evaluator's series mode, divided powers and numerical polynomials; plus
+  the evaluator's series mode, and one integer-basis implementation whose two
+  subclasses are the divided powers and the numerical polynomials; plus
   RationalFunction, the num/(d*beta^m) form in which the q-integrality
   report prints a Laurent coefficient; it lives in multipoly because the
   benchmark's tracer looks it up there by name.

@@ -1,7 +1,13 @@
 """Integer basis rings: divided powers b_k and numerical polynomials binom(beta,k).
 
-Both rings keep integer coordinates as a type invariant; rational multiples
-only ever appear inside series coefficients, never here.
+Both are free Z-modules on a basis e_0 = 1, e_1, ... with integer structure
+constants, so one implementation, `_IntBasisElem`, carries the coordinates,
+their validation, the module operations, powers, exact division by integers
+and the rendering.  The public subclasses `DividedPowerElem` and
+`NumericalPoly` add only their basis label and their product, and stay two
+types so that H-side and K-side values never mix.  Integer coordinates are a
+type invariant; rational multiples only ever appear inside series
+coefficients, never here.
 """
 
 from __future__ import annotations
@@ -35,40 +41,41 @@ def binom_ints(m: int, n: int) -> list[int]:
     return out
 
 
-def _clean_int_coords(coords: Mapping[int, int], what: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for k, v in coords.items():
-        if k < 0:
-            raise DomainError(f"{what} indices must be non-negative, got {k}")
-        if not isinstance(v, int):
-            raise DomainError(f"{what} coordinates must be integers, got {v!r}")
-        if v:
-            out[int(k)] = v
-    return out
+class _IntBasisElem:
+    """Z-linear combination of a basis e_0 = 1, e_1, e_2, ... with integer
+    coordinates.
 
-
-class DividedPowerElem:
-    """Z-linear combination of the divided powers b_k (b_0 = 1).
-
-    Multiplication carries the binomial structure constants
-    b_i * b_j = C(i+j, i) * b_{i+j}.
+    Everything but the product is the same for every such ring; a subclass
+    gives `_label(k)`, the name of e_k, the nouns its messages use, and
+    `_product`, the product of two elements in its structure constants.
+    Arithmetic only mixes an element with ints and with its own subclass.
     """
 
     __slots__ = ("coords",)
+    _what: str  # "divided-power", in index and coordinate messages
+    _noun: str  # "divided-power elements", in the negative-power message
 
     def __init__(self, coords: Mapping[int, int] | None = None):
-        self.coords = _clean_int_coords(coords or {}, "divided-power")
+        out: dict[int, int] = {}
+        for k, v in (coords or {}).items():
+            if k < 0:
+                raise DomainError(f"{self._what} indices must be non-negative, got {k}")
+            if not isinstance(v, int):
+                raise DomainError(f"{self._what} coordinates must be integers, got {v!r}")
+            if v:
+                out[int(k)] = v
+        self.coords = out
 
     @classmethod
-    def zero(cls) -> DividedPowerElem:
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> DividedPowerElem:
+    def one(cls):
         return cls({0: 1})
 
     @classmethod
-    def basis(cls, k: int) -> DividedPowerElem:
+    def basis(cls, k: int):
         return cls({k: 1})
 
     def is_zero(self) -> bool:
@@ -78,7 +85,7 @@ class DividedPowerElem:
         return self.coords.get(k, 0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, DividedPowerElem):
+        if type(other) is type(self):
             return self.coords == other.coords
         if isinstance(other, int):
             return self.coords == ({} if other == 0 else {0: other})
@@ -86,29 +93,75 @@ class DividedPowerElem:
 
     __hash__ = None
 
-    def __neg__(self) -> DividedPowerElem:
-        return DividedPowerElem({k: -v for k, v in self.coords.items()})
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.coords.items()})
 
-    def __add__(self, other: DividedPowerElem | int) -> DividedPowerElem:
+    def __add__(self, other):
         if isinstance(other, int):
-            other = DividedPowerElem({0: other})
-        if not isinstance(other, DividedPowerElem):
+            other = type(self)({0: other})
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.coords)
         for k, v in other.coords.items():
             out[k] = out.get(k, 0) + v
-        return DividedPowerElem(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other: DividedPowerElem | int) -> DividedPowerElem:
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: DividedPowerElem | int) -> DividedPowerElem:
+    def __mul__(self, other):
         if isinstance(other, int):
-            return DividedPowerElem({k: v * other for k, v in self.coords.items()})
-        if not isinstance(other, DividedPowerElem):
+            return type(self)({k: v * other for k, v in self.coords.items()})
+        if type(other) is not type(self):
             return NotImplemented
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise DomainError(f"{self._noun} have no negative powers")
+        return power(self, n) if n else self.one()
+
+    def div_int_exact(self, n: int):
+        if n == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        out = {}
+        for k, v in self.coords.items():
+            if v % n:
+                raise InexactDivisionError(f"coordinate {v} of {self._label(k)} is not divisible by {n}")
+            out[k] = v // n
+        return type(self)(out)
+
+    def __str__(self) -> str:
+        terms = sorted(self.coords.items())
+        return render_terms(terms, lambda k: "" if k == 0 else self._label(k))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.coords!r})"
+
+    def to_json(self) -> list[list]:
+        return [[k, str(v), "1"] for k, v in sorted(self.coords.items())]
+
+
+class DividedPowerElem(_IntBasisElem):
+    """Z-linear combination of the divided powers b_k (b_0 = 1).
+
+    Multiplication carries the binomial structure constants
+    b_i * b_j = C(i+j, i) * b_{i+j}.
+    """
+
+    __slots__ = ()
+    _what = "divided-power"
+    _noun = "divided-power elements"
+
+    @staticmethod
+    def _label(k: int) -> str:
+        return f"b_{k}"
+
+    def _product(self, other: DividedPowerElem) -> DividedPowerElem:
         out: dict[int, int] = {}
         for i, a in self.coords.items():
             for j, b in other.coords.items():
@@ -116,122 +169,27 @@ class DividedPowerElem:
                 out[k] = out.get(k, 0) + a * b * binom_int(k, i)
         return DividedPowerElem(out)
 
-    __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> DividedPowerElem:
-        if n < 0:
-            raise DomainError("divided-power elements only take non-negative powers")
-        if n == 0:
-            return DividedPowerElem.one()
-        return power(self, n)
-
-    def div_int_exact(self, n: int) -> DividedPowerElem:
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        out = {}
-        for k, v in self.coords.items():
-            if v % n:
-                raise InexactDivisionError(f"coordinate {v} of b_{k} is not divisible by {n}")
-            out[k] = v // n
-        return DividedPowerElem(out)
-
-    def __str__(self) -> str:
-        terms = sorted(self.coords.items())
-        return render_terms(terms, lambda k: "" if k == 0 else f"b_{k}")
-
-    def __repr__(self) -> str:
-        return f"DividedPowerElem({self.coords!r})"
-
-    def to_json(self) -> list[list]:
-        return [[k, str(v), "1"] for k, v in sorted(self.coords.items())]
-
-
-class NumericalPoly:
+class NumericalPoly(_IntBasisElem):
     """Integer-valued polynomial in the binomial basis binom(beta, k)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
+    _what = "binomial-basis"
+    _noun = "numerical polynomials"
 
-    def __init__(self, coords: Mapping[int, int] | None = None):
-        self.coords = _clean_int_coords(coords or {}, "binomial-basis")
+    @staticmethod
+    def _label(k: int) -> str:
+        return f"binom(beta,{k})"
 
-    @classmethod
-    def zero(cls) -> NumericalPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> NumericalPoly:
-        return cls({0: 1})
-
-    @classmethod
-    def basis(cls, k: int) -> NumericalPoly:
-        return cls({k: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coord(self, k: int) -> int:
-        return self.coords.get(k, 0)
+    def _product(self, other: NumericalPoly) -> NumericalPoly:
+        return numerical_mul(self, other)
 
     def degree(self) -> int:
         return max(self.coords, default=-1)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NumericalPoly):
-            return self.coords == other.coords
-        if isinstance(other, int):
-            return self.coords == ({} if other == 0 else {0: other})
-        return NotImplemented
-
-    __hash__ = None
-
-    def __neg__(self) -> NumericalPoly:
-        return NumericalPoly({k: -v for k, v in self.coords.items()})
-
-    def __add__(self, other: NumericalPoly | int) -> NumericalPoly:
-        if isinstance(other, int):
-            other = NumericalPoly({0: other})
-        if not isinstance(other, NumericalPoly):
-            return NotImplemented
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, 0) + v
-        return NumericalPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: NumericalPoly | int) -> NumericalPoly:
-        return self + (-other)
-
-    def __mul__(self, other: NumericalPoly | int) -> NumericalPoly:
-        if isinstance(other, int):
-            return NumericalPoly({k: v * other for k, v in self.coords.items()})
-        if not isinstance(other, NumericalPoly):
-            return NotImplemented
-        return numerical_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def div_int_exact(self, n: int) -> NumericalPoly:
-        out = {}
-        for k, v in self.coords.items():
-            if v % n:
-                raise InexactDivisionError(f"coordinate {v} of binom(beta,{k}) is not divisible by {n}")
-            out[k] = v // n
-        return NumericalPoly(out)
-
     def evaluate(self, n: int) -> int:
         """Value at an integer argument; always an integer."""
         return sum(v * binom_int(n, k) for k, v in self.coords.items())
-
-    def __str__(self) -> str:
-        terms = sorted(self.coords.items())
-        return render_terms(terms, lambda k: "" if k == 0 else f"binom(beta,{k})")
-
-    def __repr__(self) -> str:
-        return f"NumericalPoly({self.coords!r})"
-
-    def to_json(self) -> list[list]:
-        return [[k, str(v), "1"] for k, v in sorted(self.coords.items())]
 
 
 def _finite_differences(values: list) -> list:

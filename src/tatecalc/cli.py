@@ -1,9 +1,9 @@
 """Command-line interface: eval, verify, expand, report.
 
 Exit codes: 0 success / suite pass, 1 identity failure, 2 usage or parse or
-evaluation-type error, division by zero included.  The `tatecalc` script
-also exits 1, without a traceback, when the reader of its output closes the
-pipe early.  All randomness is seeded, so identical invocations produce
+evaluation-type error, division by zero and expressions nested too deeply
+included.  The `tatecalc` script also exits 1, without a traceback, when the
+reader of its output closes the pipe early.  All randomness is seeded, so identical invocations produce
 byte-identical output.
 """
 
@@ -165,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_report(args)
     except (TateCalcError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the parser and the evaluator recurse on the expression tree
+        print("error: expression is nested too deeply", file=sys.stderr)
         return 2
     return 0
 

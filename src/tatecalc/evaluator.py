@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expansions, tate_h, tate_k
-from .arith import power
 from .basis import DividedPowerElem, NumericalPoly
 from .errors import TateCalcError
 from .laurent import LaurentPoly
@@ -117,8 +116,8 @@ class _EvalBase:
     def div(self, a, b):
         raise NotImplementedError
 
-    def pow(self, v, n):
-        raise NotImplementedError
+    def pow(self, v, n: int):
+        return _scalar_pow(v, n) if _is_scalar(v) else v**n
 
     def symbol(self, name):
         raise NotImplementedError
@@ -173,13 +172,6 @@ class _EvalH(_EvalBase):
             return a.div_int_exact(b)
         raise EvalError("division in tate_h needs exact Laurent or integer divisors")
 
-    def pow(self, v, n: int):
-        if _is_scalar(v):
-            return _scalar_pow(v, n)
-        if isinstance(v, DividedPowerElem) and n < 0:
-            raise EvalError("divided-power elements have no negative powers")
-        return v**n
-
     def call(self, e: Call):
         if e.func == "boundary":
             return tate_h.boundary(self._laurent_arg(e, 0))
@@ -228,15 +220,6 @@ class _EvalK(_EvalBase):
         if isinstance(a, TateKElem) and isinstance(b, int):
             return tate_k.tatek_div(a, TateKElem(LaurentPoly("q", {0: b})))
         raise EvalError("division in tate_k requires unit divisors")
-
-    def pow(self, v, n: int):
-        if _is_scalar(v):
-            return _scalar_pow(v, n)
-        if isinstance(v, NumericalPoly):
-            if n < 0:
-                raise EvalError("numerical polynomials have no negative powers")
-            return power(v, n) if n else NumericalPoly.one()
-        return v**n
 
     def call(self, e: Call):
         if e.func == "partial_fractions":

@@ -165,9 +165,6 @@ class LaurentPoly:
         """Exponent dilation var^n -> var^(k*n); a ring endomorphism for k >= 1."""
         return LaurentPoly(self.var, {e * k: v for e, v in self.coeffs.items()})
 
-    def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> LaurentPoly:
-        return LaurentPoly(self.var, {e: fn(v) for e, v in self.coeffs.items()})
-
     def binomials(self, n: int) -> list[LaurentPoly]:
         """[binom(self, 0), ..., binom(self, n)], the falling-factorial binomials
         of this polynomial, by the running recurrence

@@ -9,7 +9,7 @@ Coefficient rings are described by a Ring record: the elements' own + - * ==
 do the arithmetic, and the record supplies what differs between rings (names,
 constants, division, inverses, and an accumulator that sums products without
 normalising each one).  The same engine runs over Q, Z, Q[x], Q[x,y],
-Laurent rings such as Q[beta^±1], divided powers, and numerical polynomials.
+Laurent rings such as Q[beta^±1], and numerical polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import factorial
 from typing import Any, Callable, Sequence
 
 from .arith import power
-from .basis import DividedPowerElem, NumericalPoly
+from .basis import NumericalPoly
 from .errors import (
     CapabilityError,
     DomainError,
@@ -140,17 +140,6 @@ def laurent_coeff_ring(var: str, integral: bool = False) -> Ring:
         div_exact=lambda a, b: a.div_exact(b, over_integers=integral),
         from_int=lambda n: LaurentPoly(var, {0: n}),
         accumulator=lambda: LaurentPoly.accumulator(var),
-    )
-
-
-def divided_power_ring() -> Ring:
-    return Ring(
-        name="Z[b_*]",
-        zero=DividedPowerElem.zero(),
-        one=DividedPowerElem.one(),
-        div_int=lambda a, n: a.div_int_exact(n),
-        rational=False,
-        from_int=lambda n: DividedPowerElem({0: n}),
     )
 
 
@@ -389,10 +378,8 @@ class TruncSeries:
             return TruncSeries.one(self.ring, self.order, self.var)
         return power(self, n)
 
-    def map_coeffs(self, fn: Callable, ring: Ring | None = None, var: str | None = None) -> TruncSeries:
-        return TruncSeries(
-            ring or self.ring, self.low, self.order, [fn(c) for c in self.coeffs], var or self.var
-        )
+    def map_coeffs(self, fn: Callable, ring: Ring | None = None) -> TruncSeries:
+        return TruncSeries(ring or self.ring, self.low, self.order, [fn(c) for c in self.coeffs], self.var)
 
     # -- series operations -------------------------------------------------------
 

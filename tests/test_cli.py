@@ -86,6 +86,30 @@ def test_division_by_zero_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("b_1^-1", "divided-power elements have no negative powers"),
+    ("beta_1^-1", "numerical polynomials have no negative powers"),
+])
+def test_basis_negative_power_exit_2(capsys, expr, message):
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("expr", [
+    "+".join(["1"] * 3000),
+    "*".join(["q"] * 3000),
+    "(" * 400 + "1" + ")" * 400,
+], ids=["long-sum", "long-product", "nested-parentheses"])
+def test_deep_expression_exit_2(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out, err) == (2, "", "error: expression is nested too deeply\n")
+
+
+def test_long_sum_within_the_limit_evaluates(capsys):
+    code, out, err = run(capsys, "eval", "+".join(["1"] * 200))
+    assert (code, out, err) == (0, "200\n", "")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["verify", "not-a-suite"]) == 2
     capsys.readouterr()

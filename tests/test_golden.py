@@ -30,6 +30,11 @@ CASES = [
     # one generator: series over a univariate MultiPoly
     ("eval_exp_cinvT.txt", ["eval", "exp(cinv*T)", "--order", "12"]),
     ("eval_log_qinvT.json", ["eval", "log(1+qinv*T)", "--order", "8", "--json"]),
+    # the two integer bases: divided powers b_k and numerical polynomials binom(beta,k)
+    ("eval_dp_product.txt", ["eval", "b_2*b_3 - 3*b_1"]),
+    ("eval_numerical_product.json", ["eval", "beta_3*beta_5", "--json"]),
+    ("eval_quotient_betas.txt", ["eval", "quotient((q^2 - 3)*(1-q)^-4)"]),
+    ("eval_boundary_cube.json", ["eval", "boundary((cinv + 2*c)^3)", "--json"]),
     ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"]),
     ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"]),
     ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"]),

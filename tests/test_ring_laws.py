@@ -1,0 +1,108 @@
+"""Ring laws, checked generically over every coefficient ring the engine uses.
+
+Each case gives a strategy for elements, the ring's zero and one, and its
+exact division by a nonzero integer: the two integer-basis types directly,
+and each `Ring` factory through its descriptor.  The laws are the commutative
+ring axioms plus the round trip (x * n) / n == x.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tatecalc.basis import DividedPowerElem, NumericalPoly
+from tatecalc.laurent import LaurentPoly
+from tatecalc.multipoly import MultiPoly
+from tatecalc.series import QQ, ZZ, laurent_coeff_ring, numerical_ring, poly_ring
+
+small_ints = st.integers(-6, 6)
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+basis_coords = st.dictionaries(st.integers(0, 5), small_ints, max_size=4)
+
+
+def _basis_case(cls):
+    return basis_coords.map(cls), cls.zero(), cls.one(), cls.div_int_exact
+
+
+def _ring_case(ring, elements):
+    return elements, ring.zero, ring.one, ring.div_int
+
+
+def _laurent(coeffs):
+    return st.dictionaries(st.integers(-3, 3), coeffs, max_size=4).map(lambda d: LaurentPoly("x", d))
+
+
+_POLYS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), small_fracs,
+                         max_size=4).map(lambda d: MultiPoly(("x", "y"), d))
+
+CASES = {
+    "DividedPowerElem": _basis_case(DividedPowerElem),
+    "NumericalPoly": _basis_case(NumericalPoly),
+    "ZZ": _ring_case(ZZ, st.integers(-50, 50)),
+    "QQ": _ring_case(QQ, small_fracs),
+    "QQ[x,y]": _ring_case(poly_ring("x", "y"), _POLYS),
+    "ZZ[x^±1]": _ring_case(laurent_coeff_ring("x", integral=True), _laurent(small_ints)),
+    "QQ[x^±1]": _ring_case(laurent_coeff_ring("x"), _laurent(small_fracs)),
+    "Z[beta_*]": _ring_case(numerical_ring(), basis_coords.map(NumericalPoly)),
+}
+
+LAWS = settings(max_examples=40, deadline=None)
+cases = pytest.mark.parametrize("case", sorted(CASES))
+
+
+def _elements(data, case, n):
+    elements = CASES[case][0]
+    return [data.draw(elements) for _ in range(n)]
+
+
+@cases
+@LAWS
+@given(data=st.data())
+def test_addition_is_associative_and_commutative(case, data):
+    a, b, c = _elements(data, case, 3)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+
+
+@cases
+@LAWS
+@given(data=st.data())
+def test_multiplication_is_associative_and_commutative(case, data):
+    a, b, c = _elements(data, case, 3)
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+
+
+@cases
+@LAWS
+@given(data=st.data())
+def test_multiplication_distributes_over_addition(case, data):
+    a, b, c = _elements(data, case, 3)
+    assert a * (b + c) == a * b + a * c
+    assert a * (b - c) == a * b - a * c
+
+
+@cases
+@LAWS
+@given(data=st.data())
+def test_zero_and_one_are_identities(case, data):
+    _, zero, one, _ = CASES[case]
+    (a,) = _elements(data, case, 1)
+    assert a + zero == a
+    assert a - a == zero
+    assert a * one == a
+    assert a * zero == zero
+
+
+@cases
+@LAWS
+@given(data=st.data(), n=st.integers(-9, 9).filter(bool))
+def test_integer_scaling_round_trips_through_exact_division(case, data, n):
+    div_int = CASES[case][3]
+    (a,) = _elements(data, case, 1)
+    assert div_int(a * n, n) == a
+
+
+@pytest.mark.parametrize("cls", [DividedPowerElem, NumericalPoly])
+def test_integer_basis_division_by_zero(cls):
+    with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+        cls({1: 2}).div_int_exact(0)
