@@ -166,7 +166,7 @@ class DividedPowerElem(_IntBasisElem):
         for i, a in self.coords.items():
             for j, b in other.coords.items():
                 k = i + j
-                out[k] = out.get(k, 0) + a * b * binom_int(k, i)
+                out[k] = out.get(k, 0) + a * b * comb(k, i)
         return DividedPowerElem(out)
 
 

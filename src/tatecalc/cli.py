@@ -1,10 +1,11 @@
 """Command-line interface: eval, verify, expand, report.
 
 Exit codes: 0 success / suite pass, 1 identity failure, 2 usage or parse or
-evaluation-type error, division by zero and expressions nested too deeply
-included.  The `tatecalc` script also exits 1, without a traceback, when the
-reader of its output closes the pipe early.  All randomness is seeded, so identical invocations produce
-byte-identical output.
+evaluation-type error, division by zero, expressions nested too deeply and
+integers of more than 4300 digits (typed in or to print) included.  The
+`tatecalc` script also exits 1, without a traceback, when the reader of its
+output closes the pipe early.  All randomness is seeded, so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from . import expansions, tate_h, tate_k
 from .errors import TateCalcError
@@ -61,16 +63,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print(render: Callable[[], str]) -> None:
+    """Print `render()`, the text of a computed result.
+
+    str() of an integer longer than sys.get_int_max_str_digits (4300 digits by
+    default) raises ValueError; here it becomes a typed error, exit 2.  Only
+    the rendering is guarded: a ValueError raised while computing stays
+    unmasked.
+    """
+    try:
+        text = render()
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise TateCalcError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print"
+        ) from None
+    print(text)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
     value = evaluate(expr, args.ring, args.order)
     if args.json:
         mode = args.ring if args.ring != "auto" else infer_mode(expr)
-        payload = {"expr": args.expr, "ring": mode, "order": args.order,
-                   "value": value_json(value), "text": str(value)}
-        print(json.dumps(payload, indent=2))
+        _print(lambda: json.dumps({"expr": args.expr, "ring": mode, "order": args.order,
+                                   "value": value_json(value), "text": str(value)}, indent=2))
     else:
-        print(value)
+        _print(lambda: str(value))
     return 0
 
 
@@ -98,9 +119,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             "order": series.order,
             "coeffs": [int(c) for c in series.coeffs],
         }
-        print(json.dumps(payload, indent=2))
+        _print(lambda: json.dumps(payload, indent=2))
     else:
-        print(series)
+        _print(lambda: str(series))
     return 0
 
 

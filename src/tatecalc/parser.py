@@ -15,6 +15,7 @@ Errors are machine-readable: every ParseError carries a `code`, the byte
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import TateCalcError
@@ -122,9 +123,9 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("NUMBER", source[i:j], i))
             i = j
@@ -211,14 +212,14 @@ class _Parser:
                 sign = -1
                 self.advance()
             num = self.expect("NUMBER", "integer exponent")
-            return Pow(base, sign * int(num.text))
+            return Pow(base, sign * _integer(num.text, num.pos))
         return base
 
     def base(self) -> Expr:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(int(tok.text))
+            return Num(_integer(tok.text, tok.pos))
         if tok.kind == "LPAREN":
             self.advance()
             inner = self.expr()
@@ -228,7 +229,10 @@ class _Parser:
             self.advance()
             if self.peek().kind == "LPAREN":
                 return self.call(tok)
-            if tok.text in SYMBOLS or _INDEXED.match(tok.text):
+            indexed = _INDEXED.match(tok.text)
+            if indexed:  # the evaluator reads the index back with int()
+                _integer(indexed.group(2), tok.pos + indexed.start(2))
+            if tok.text in SYMBOLS or indexed:
                 return Sym(tok.text)
             raise UnknownNameError(f"unknown symbol {tok.text!r}", tok.pos)
         raise ParseError(
@@ -254,6 +258,18 @@ class _Parser:
                 f"{name.text} takes {arity} argument(s), got {len(args)}", name.pos
             )
         return Call(name.text, tuple(args))
+
+
+def _integer(digits: str, offset: int) -> int:
+    """int(digits), where more digits than the interpreter converts
+    (sys.get_int_max_str_digits, 4300 by default) are a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(digits)} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits", offset
+        ) from None
 
 
 def parse(source: str) -> Expr:

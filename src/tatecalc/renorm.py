@@ -83,49 +83,31 @@ def t_inv_log_one_plus(order: int) -> TruncSeries:
 def verify_renorm(order: int) -> VerificationReport:
     """Division contracts by multiply-back, the diagonal collapse, and the
     three-ratio consistency identity."""
-    checks = []
     bc = b_over_cinv(order)
-    num = -_log_one_minus(X, order + 1)
     xt = TruncSeries.from_coeffs(RING, 1, [X], order=order + 1)
-    ok = (bc * xt).agrees_with(num)
-    checks.append(Check("b/cinv multiply-back", ok, None if ok else "bc * xT != -log(1-xT)"))
+    bc_ok = (bc * xt).agrees_with(-_log_one_minus(X, order + 1))
 
     bq = beta_over_qinv(order)
     den = _log_one_plus_t(order + 1).scalar_mul(Y).trimmed()
-    numy = -_log_one_minus(Y, order + 1)
-    ok = (bq * den).agrees_with(numy)
-    checks.append(
-        Check("beta/qinv multiply-back", ok, None if ok else "bq * (y log(1+T)) != -log(1-yT)")
-    )
+    bq_ok = (bq * den).agrees_with(-_log_one_minus(Y, order + 1))
 
     bb = b_over_beta(order)
-    diag = specialize_diagonal(bb)
-    ref = t_inv_log_one_plus(order)
-    ok = diag.agrees_with(ref)
-    checks.append(
+    diag_ok = specialize_diagonal(bb).agrees_with(t_inv_log_one_plus(order))
+    checks = (
+        Check("b/cinv multiply-back", None if bc_ok else "bc * xT != -log(1-xT)"),
+        Check("beta/qinv multiply-back", None if bq_ok else "bq * (y log(1+T)) != -log(1-yT)"),
         Check(
             "diagonal y := x collapses to T^-1 log(1+T)",
-            ok,
-            None if ok else "diagonal specialization mismatch",
-        )
-    )
-
-    ok = (bb * bq).agrees_with(bc, through=order)
-    checks.append(
+            None if diag_ok else "diagonal specialization mismatch",
+        ),
         Check(
             "b/beta * beta/qinv == b/cinv",
-            ok,
-            None if ok else "three-ratio consistency fails",
+            None if (bb * bq).agrees_with(bc, through=order) else "three-ratio consistency fails",
             note="scale-normalized form; equivalent to the multiply-back identity",
-        )
-    )
-
-    inv_ok = (bc * bq.inverse()).agrees_with(bb, through=order)
-    checks.append(
+        ),
         Check(
             "b/beta == b/cinv * (beta/qinv)^-1",
-            inv_ok,
-            None if inv_ok else "inverse form fails",
-        )
+            None if (bc * bq.inverse()).agrees_with(bb, through=order) else "inverse form fails",
+        ),
     )
-    return VerificationReport("renorm", order, tuple(checks))
+    return VerificationReport("renorm", order, checks)

@@ -7,10 +7,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Check:
+    """One identity's verdict: it holds exactly when no defect was found."""
+
     identity: str
-    passed: bool
     first_defect: str | None = None
     note: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_defect is None
 
     def to_json(self) -> dict:
         out: dict = {"identity": self.identity, "status": "pass" if self.passed else "fail"}
@@ -41,10 +46,7 @@ class VerificationReport:
 
     @property
     def first_defect(self) -> str | None:
-        for c in self.checks:
-            if not c.passed:
-                return c.first_defect
-        return None
+        return next((c.first_defect for c in self.checks if not c.passed), None)
 
     def to_json(self) -> dict:
         out = {
@@ -64,7 +66,7 @@ class VerificationReport:
         for c in self.checks:
             mark = "ok " if c.passed else "FAIL"
             line = f"  [{mark}] {c.identity}"
-            if not c.passed and c.first_defect:
+            if c.first_defect:
                 line += f" -- first defect: {c.first_defect}"
             if c.note:
                 line += f"  ({c.note})"

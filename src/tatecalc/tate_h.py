@@ -248,17 +248,7 @@ def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
     eps = lhs - rhs
     if defect is not None:
         eps = eps.with_coord(defect, eps.coord(defect) + 1)
-    checks = []
-
     bad = next((k for k in range(eps.low, eps.order + 1) if eps.coord(k) != 0), None)
-    checks.append(
-        Check(
-            "epsilon-vanishes",
-            bad is None,
-            None if bad is None else f"T^{bad}: coordinate {eps.coord(bad)} != 0",
-        )
-    )
-
     b_lhs = lhs.termwise_boundary()
     b_rhs = rhs.termwise_boundary()
     expected = {
@@ -268,25 +258,24 @@ def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
     bad_b = next(
         (k for k in range(0, order + 1) if not (b_lhs[k] == b_rhs[k] == expected[k])), None
     )
-    checks.append(
+    ok, bad_k = kernel_forces_zero(eps)
+    checks = (
+        Check(
+            "epsilon-vanishes",
+            None if bad is None else f"T^{bad}: coordinate {eps.coord(bad)} != 0",
+        ),
         Check(
             "termwise-boundary-agrees",
-            bad_b is None,
             None if bad_b is None else f"T^{bad_b}: {b_lhs[bad_b]} vs {b_rhs[bad_b]}",
             note="both boundaries equal sum_k b_(k-1) T^k",
-        )
-    )
-
-    ok, bad_k = kernel_forces_zero(eps)
-    checks.append(
+        ),
         Check(
             "kernel-support-forces-zero",
-            ok,
             None if ok else f"T^{bad_k}: nonzero coordinate {eps.coord(bad_k)} with nonzero boundary b_{bad_k - 1}",
             note="ker(boundary) series live in degrees k <= 0; epsilon is supported in k >= 0 with zero constant term",
-        )
+        ),
     )
-    return VerificationReport("prop1", order, tuple(checks))
+    return VerificationReport("prop1", order, checks)
 
 
 @dataclass(frozen=True)
@@ -355,37 +344,29 @@ def verify_corollary(order: int) -> VerificationReport:
         raise DomainError("order must be at least 1")
     bres = b_series_from_c(order)
     cres = c_series_from_b(order)
-    checks = [
+    signs = [c_series_from_b(n).matching_sign for n in range(4, order + 1)]
+    stable = all(s == cres.matching_sign for s in signs)
+    checks = (
         Check(
             "exp(b-series) inverts (1 - xT)",
-            bres.exp_check_ok,
             None if bres.exp_check_ok else "multiply-back is not 1",
         ),
         Check(
             "c-hat round trip recovers b",
-            cres.round_trip_ok,
             None if cres.round_trip_ok else "-T^-1 log(1 - c_hat_inv T) != b",
         ),
         Check(
             "unique Bernoulli-form sign",
-            cres.matching_sign is not None,
-            None if cres.matching_sign is not None else "no unique sign matched",
+            "no unique sign matched" if cres.matching_sign is None else None,
             note=(
                 f"c_hat = {cres.matching_sign:+d} * b^-1 * B(-bT) with B(D) = D/(e^D - 1)"
                 if cres.matching_sign is not None
                 else None
             ),
         ),
-    ]
-    signs = []
-    for n in range(4, order + 1):
-        signs.append(c_series_from_b(n).matching_sign)
-    stable = all(s == cres.matching_sign for s in signs) if signs else True
-    checks.append(
         Check(
             "sign stable across orders",
-            stable,
             None if stable else f"signs per order 4..{order}: {signs}",
-        )
+        ),
     )
-    return VerificationReport("corollary", order, tuple(checks))
+    return VerificationReport("corollary", order, checks)

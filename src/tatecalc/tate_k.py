@@ -262,19 +262,15 @@ def cartier_check(order0: int, order1: int) -> VerificationReport:
         if not power:
             break
 
-    first_defect = None
-    for i in range(order0 + 1):
-        for j in range(order1 + 1):
-            rhs = numerical_mul(NumericalPoly.basis(i), NumericalPoly.basis(j))
-            if lhs.get((i, j), NumericalPoly.zero()) != rhs:
-                first_defect = f"T0^{i} T1^{j}: {lhs.get((i, j))} != {rhs}"
-                break
-        if first_defect:
-            break
+    products = (
+        (i, j, numerical_mul(NumericalPoly.basis(i), NumericalPoly.basis(j)))
+        for i in range(order0 + 1)
+        for j in range(order1 + 1)
+    )
     check = Check(
         "beta(T0 +Gm T1) == beta(T0)*beta(T1)",
-        first_defect is None,
-        first_defect,
+        next((f"T0^{i} T1^{j}: {lhs.get((i, j))} != {rhs}" for i, j, rhs in products
+              if lhs.get((i, j), NumericalPoly.zero()) != rhs), None),
         note=f"all bi-orders up to ({order0},{order1})",
     )
     return VerificationReport("cartier", max(order0, order1), (check,))
@@ -302,15 +298,19 @@ def prop2_points(order: int) -> range:
 
 
 def _prop2_at(m: int, order: int) -> tuple[bool, bool]:
-    """prop2's defining relation and Vandermonde identity in ZZ[[T]] at beta = m."""
+    """prop2's defining relation and Vandermonde identity in ZZ[[T]] at beta = m.
+
+    1 - qhat_inv T built from the solved series is (1+T)^-m itself, so the
+    relation's product (1 - qhat_inv T)(1+T)^m and the Vandermonde product
+    (1+T)^m (1+T)^-m are one series: it is computed once and read by both
+    verdicts.  The relation also asks that the inverse of 1 - qhat_inv T
+    reproduce (1+T)^m.
+    """
     binom = TruncSeries(ZZ, 0, order, binom_ints(m, order))
-    inv_pow = TruncSeries(ZZ, 0, order + 1, binom_ints(-m, order + 1))
-    qhi = _q_hat_inv(inv_pow)
+    qhi = _q_hat_inv(TruncSeries(ZZ, 0, order + 1, binom_ints(-m, order + 1)))
     one_minus = (TruncSeries.one(ZZ, order + 1) - qhi.shifted(1)).truncated(order)
     product_ok = (one_minus * binom).is_one_series()
-    relation_ok = product_ok and one_minus.inverse().agrees_with(binom, through=order)
-    vandermonde_ok = (binom * inv_pow.truncated(order)).is_one_series()
-    return relation_ok, vandermonde_ok
+    return product_ok and one_minus.inverse().agrees_with(binom, through=order), product_ok
 
 
 def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
@@ -337,8 +337,6 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
     """
     if order < 1:
         raise DomainError("order must be at least 1")
-    checks = []
-
     ring_q = laurent_coeff_ring("q", integral=True)
     geo = geometric_series(ring_q, LaurentPoly("q", {-1: 1}), order)
     geo_coords = []
@@ -357,33 +355,22 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
     bad = next(
         (k for k in range(order + 1) if not (geo_coords[k] == bin_coords[k] == 1)), None
     )
-    checks.append(
+    verdicts = [_prop2_at(m, order) for m in prop2_points(order)]
+    checks = (
         Check(
             "all-ones coordinates under beta_k <-> q^-k",
-            bad is None,
             None if bad is None else f"T^{bad}: {geo_coords[bad]} vs {bin_coords[bad]}",
-        )
-    )
-
-    verdicts = [_prop2_at(m, order) for m in prop2_points(order)]
-    relation_ok = all(r for r, _ in verdicts)
-    checks.append(
+        ),
         Check(
             "(1 - qhat_inv T)^-1 == (1+T)^beta",
-            relation_ok,
-            None if relation_ok else "defining relation fails",
-        )
-    )
-
-    vandermonde_ok = all(v for _, v in verdicts)
-    checks.append(
+            None if all(r for r, _ in verdicts) else "defining relation fails",
+        ),
         Check(
             "(1+T)^beta * (1+T)^-beta == 1",
-            vandermonde_ok,
-            None if vandermonde_ok else "binomial convolution does not telescope",
-        )
+            None if all(v for _, v in verdicts) else "binomial convolution does not telescope",
+        ),
     )
-    return VerificationReport("prop2", order, tuple(checks))
+    return VerificationReport("prop2", order, checks)
 
 
 def q_series(order: int) -> TruncSeries:

@@ -73,6 +73,20 @@ def test_dp_matches_qb_oracle_on_random_elements():
         assert x * y == dp_oracle_mul(x, y)
 
 
+def test_dp_basis_products_are_binomial_coefficients_up_to_2000():
+    # b_i b_j = C(i+j, i) b_{i+j}; also across several terms at once
+    b = DividedPowerElem.basis
+    rng = random.Random(3)
+    pairs = [(0, 0), (0, 2000), (1, 1999), (2000, 2000), (1000, 1000)]
+    pairs += [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(20)]
+    for i, j in pairs:
+        assert b(i) * b(j) == DividedPowerElem({i + j: comb(i + j, i)})
+    x = DividedPowerElem({1999: 2, 5: -3})
+    y = DividedPowerElem({2000: 1, 7: 4})
+    assert x * y == DividedPowerElem({3999: 2 * comb(3999, 1999), 2006: 8 * comb(2006, 7),
+                                      2005: -3 * comb(2005, 5), 12: -12 * comb(12, 5)})
+
+
 def test_dp_gamma_power_identity():
     b1 = DividedPowerElem.basis(1)
     power = DividedPowerElem.one()

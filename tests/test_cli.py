@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tatecalc
+from tatecalc import cli
 from tatecalc.cli import main
 
 
@@ -103,6 +104,41 @@ def test_basis_negative_power_exit_2(capsys, expr, message):
 def test_deep_expression_exit_2(capsys, expr):
     code, out, err = run(capsys, "eval", expr)
     assert (code, out, err) == (2, "", "error: expression is nested too deeply\n")
+
+
+TOO_LONG = "error: the result has an integer of more than 4300 digits, too long to print\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["eval", "b_1^3000"], TOO_LONG),  # 3000! b_3000
+    (["eval", "beta_20000*beta_20000"], TOO_LONG),
+    (["eval", "b_1^3000", "--json"], TOO_LONG),
+    (["eval", "7" * 5000],
+     "error: integer of 5000 digits is over the limit of 4300 digits at offset 0\n"),
+    (["eval", "b_" + "1" * 5000],
+     "error: integer of 5000 digits is over the limit of 4300 digits at offset 2\n"),
+    (["eval", "q^-" + "9" * 4301],
+     "error: integer of 4301 digits is over the limit of 4300 digits at offset 3\n"),
+], ids=["b1-power", "beta-product", "b1-power-json", "literal", "index", "exponent"])
+def test_integer_over_4300_digits_exit_2(capsys, argv, err):
+    # CPython converts at most sys.get_int_max_str_digits() digits (4300 by
+    # default) between str and int; the limit stays, and each input ends in
+    # one typed error line instead of a traceback
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_value_error_while_computing_is_not_masked(capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("integer string conversion inside the engine")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    with pytest.raises(ValueError):
+        main(["eval", "1"])
+
+
+def test_non_ascii_digit_is_a_lex_error(capsys):
+    code, out, err = run(capsys, "eval", "2\u00b2")
+    assert (code, out, err) == (2, "", "error: unexpected character '\u00b2' at offset 1\n")
 
 
 def test_long_sum_within_the_limit_evaluates(capsys):

@@ -1,9 +1,10 @@
 """Byte-exact CLI snapshots.
 
-Each case runs the CLI in process and compares stdout with a file under
-`tests/golden/`.  The cases reach every series kernel (multiply, inverse,
-exp, log, exact division) and every report, so a refactor of the engine
-that changes any printed coefficient, order or verdict fails here.
+Each case runs the CLI in process, checks its exit code and compares stdout
+with a file under `tests/golden/`.  The cases reach every series kernel
+(multiply, inverse, exp, log, exact division) and every report, so a
+refactor of the engine that changes any printed coefficient, order or verdict
+fails here.
 """
 
 from pathlib import Path
@@ -18,36 +19,40 @@ GOLDEN = Path(__file__).parent / "golden"
 MIXED = "(q^-3 + 2*q^4 - 5)*(1-q)^-3"
 
 CASES = [
-    ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"]),
-    ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"]),
-    ("q_integrality_o16.txt", ["report", "q-integrality", "--order", "16"]),
-    ("q_integrality_o16.json", ["report", "q-integrality", "--order", "16", "--json"]),
-    ("corollary_sign_o12.json", ["report", "corollary-sign", "--order", "12", "--json"]),
-    ("expansion_sign_o8.txt", ["report", "expansion-sign", "--order", "8"]),
-    ("eval_exp_bT_geom.txt", ["eval", "exp(b*T)*geom(cinv)", "--order", "24"]),
-    ("eval_log_poly.json", ["eval", "log(1+b*T+c*T^2)", "--order", "6", "--json"]),
-    ("eval_laurent_div.txt", ["eval", "T^-2*exp(T)/(1+T)", "--order", "5"]),
+    ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"], 0),
+    ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"], 0),
+    ("q_integrality_o16.txt", ["report", "q-integrality", "--order", "16"], 0),
+    ("q_integrality_o16.json", ["report", "q-integrality", "--order", "16", "--json"], 0),
+    ("corollary_sign_o12.json", ["report", "corollary-sign", "--order", "12", "--json"], 0),
+    ("expansion_sign_o8.txt", ["report", "expansion-sign", "--order", "8"], 0),
+    ("eval_exp_bT_geom.txt", ["eval", "exp(b*T)*geom(cinv)", "--order", "24"], 0),
+    ("eval_log_poly.json", ["eval", "log(1+b*T+c*T^2)", "--order", "6", "--json"], 0),
+    ("eval_laurent_div.txt", ["eval", "T^-2*exp(T)/(1+T)", "--order", "5"], 0),
     # one generator: series over a univariate MultiPoly
-    ("eval_exp_cinvT.txt", ["eval", "exp(cinv*T)", "--order", "12"]),
-    ("eval_log_qinvT.json", ["eval", "log(1+qinv*T)", "--order", "8", "--json"]),
+    ("eval_exp_cinvT.txt", ["eval", "exp(cinv*T)", "--order", "12"], 0),
+    ("eval_log_qinvT.json", ["eval", "log(1+qinv*T)", "--order", "8", "--json"], 0),
     # the two integer bases: divided powers b_k and numerical polynomials binom(beta,k)
-    ("eval_dp_product.txt", ["eval", "b_2*b_3 - 3*b_1"]),
-    ("eval_numerical_product.json", ["eval", "beta_3*beta_5", "--json"]),
-    ("eval_quotient_betas.txt", ["eval", "quotient((q^2 - 3)*(1-q)^-4)"]),
-    ("eval_boundary_cube.json", ["eval", "boundary((cinv + 2*c)^3)", "--json"]),
-    ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"]),
-    ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"]),
-    ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"]),
-    ("expand_mixed_at1.txt", ["expand", MIXED, "--at", "1", "--order", "12"]),
-    ("expand_mixed_at1.json", ["expand", MIXED, "--at", "1", "--order", "12", "--json"]),
-    ("expand_mixed_atinf.txt", ["expand", MIXED, "--at", "inf", "--order", "12"]),
-    ("expand_mixed_atinf.json", ["expand", MIXED, "--at", "inf", "--order", "12", "--json"]),
-    ("expand_q10_at0_o4.txt", ["expand", "q^10", "--at", "0", "--order", "4"]),
-    ("expand_q10_at0_o4.json", ["expand", "q^10", "--at", "0", "--order", "4", "--json"]),
+    ("eval_dp_product.txt", ["eval", "b_2*b_3 - 3*b_1"], 0),
+    ("eval_numerical_product.json", ["eval", "beta_3*beta_5", "--json"], 0),
+    ("eval_quotient_betas.txt", ["eval", "quotient((q^2 - 3)*(1-q)^-4)"], 0),
+    ("eval_boundary_cube.json", ["eval", "boundary((cinv + 2*c)^3)", "--json"], 0),
+    ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"], 0),
+    ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"], 0),
+    ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"], 0),
+    ("expand_mixed_at1.txt", ["expand", MIXED, "--at", "1", "--order", "12"], 0),
+    ("expand_mixed_at1.json", ["expand", MIXED, "--at", "1", "--order", "12", "--json"], 0),
+    ("expand_mixed_atinf.txt", ["expand", MIXED, "--at", "inf", "--order", "12"], 0),
+    ("expand_mixed_atinf.json", ["expand", MIXED, "--at", "inf", "--order", "12", "--json"], 0),
+    ("expand_q10_at0_o4.txt", ["expand", "q^10", "--at", "0", "--order", "4"], 0),
+    ("expand_q10_at0_o4.json", ["expand", "q^10", "--at", "0", "--order", "4", "--json"], 0),
+    # injected defects: a failing verdict is pinned byte for byte too, with exit 1
+    ("verify_prop1_o8_defect2.txt", ["verify", "prop1", "--order", "8", "--defect", "2"], 1),
+    ("verify_prop2_o8_defect3.json",
+     ["verify", "prop2", "--order", "8", "--defect", "3", "--json"], 1),
 ]
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_matches_golden(capsys, name, argv):
-    assert main(argv) == 0
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[name for name, _, _ in CASES])
+def test_cli_output_matches_golden(capsys, name, argv, code):
+    assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
