@@ -3,9 +3,9 @@
 Core surfaces:
 
 * laurent / multipoly / basis -- the exact coefficient tower: Laurent
-  polynomials (every one-variable series the engine builds runs over them,
-  and they carry the symbolic binomials), Q[x,...] polynomials for renorm and
-  the evaluator's series mode, and one integer-basis implementation whose two
+  polynomials (every series the engine builds runs over them, renorm's
+  Q[x,y] by Kronecker substitution, and they carry the symbolic binomials),
+  Q[x,...] polynomials for the evaluator's series mode, and one integer-basis implementation whose two
   subclasses are the divided powers and the numerical polynomials; plus
   RationalFunction, the num/(d*beta^m) form in which the q-integrality
   report prints a Laurent coefficient; it lives in multipoly because the
@@ -14,7 +14,7 @@ Core surfaces:
   pluggable rings, plus Bernoulli numbers.
 * tate_h / tate_k -- the two Tate rings, their boundary/quotient splittings,
   and the machine-checked identities.
-* renorm / expansions -- change-of-scale ratio series and the puncture
+* renorm / expansions -- change-of-scale ratio series over Q[x,y] and the puncture
   expansion homomorphisms with Adams operations.
 * cli -- `tatecalc eval|verify|expand|report`.
 """

@@ -8,18 +8,38 @@ and the rendering.  The public subclasses `DividedPowerElem` and
 types so that H-side and K-side values never mix.  Integer coordinates are a
 type invariant; rational multiples only ever appear inside series
 coefficients, never here.
+
+A product is refused with a DomainError, before it is computed, when its
+estimated work is above BASIS_MAX_WORK; see `_IntBasisElem._work`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lgamma, log, log10, sqrt
 from typing import Mapping
 
 from .arith import power
 from .errors import DomainError, InexactDivisionError
 from .laurent import LaurentPoly, render_terms
+
+
+# The estimated work of a product is in digit operations, about 1 ns each on
+# CPython 3.11 (2-vCPU VM): beta_1000^3 is 1.8e9 and took 2.3 s, so the bound
+# keeps a product to a few seconds.  beta_3000^3 (4.9e10, past 60 s),
+# beta_100000*beta_100000 (7.7e9, 18.7 s) and b_200000*b_200000 (3.6e9, 2.5 s)
+# are refused.
+BASIS_MAX_WORK = 2 * 10**9
+
+
+def _digits(n: int) -> float:
+    """About log10 |n|, from the bit length."""
+    return n.bit_length() * log10(2)
+
+
+def _log10_comb(n: int, k: int) -> float:
+    return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
 
 
 def binom_int(n: int, k: int) -> int:
@@ -116,9 +136,23 @@ class _IntBasisElem:
             return type(self)({k: v * other for k, v in self.coords.items()})
         if type(other) is not type(self):
             return NotImplemented
+        if self.coords and other.coords:
+            work = self._work(other)
+            if work > BASIS_MAX_WORK:
+                raise DomainError(f"the product of {self._noun} would take about {work:.1e} "
+                                  f"digit operations, above the bound of {BASIS_MAX_WORK:.0e}")
         return self._product(other)
 
     __rmul__ = __mul__
+
+    def _work(self, other) -> float:
+        """Estimated digit operations of self * other: `_pair_work` of the
+        top indices, where the largest structure constant sits, for every
+        pair of terms."""
+        digits = (_digits(max(map(abs, self.coords.values())))
+                  + _digits(max(map(abs, other.coords.values()))))
+        pair = self._pair_work(max(self.coords), max(other.coords), digits)
+        return len(self.coords) * len(other.coords) * pair
 
     def __pow__(self, n: int):
         if n < 0:
@@ -161,6 +195,13 @@ class DividedPowerElem(_IntBasisElem):
     def _label(k: int) -> str:
         return f"b_{k}"
 
+    @staticmethod
+    def _pair_work(i: int, j: int, digits: float) -> float:
+        # one term, C(i+j, i), which math.comb computes in about the square of
+        # its digits, times coordinates of `digits` digits
+        d = _log10_comb(i + j, i)
+        return d * d / 4 + d + digits
+
     def _product(self, other: DividedPowerElem) -> DividedPowerElem:
         out: dict[int, int] = {}
         for i, a in self.coords.items():
@@ -180,6 +221,17 @@ class NumericalPoly(_IntBasisElem):
     @staticmethod
     def _label(k: int) -> str:
         return f"binom(beta,{k})"
+
+    @staticmethod
+    def _pair_work(i: int, j: int, digits: float) -> float:
+        # min(i,j) + 1 terms C(k,i) C(i,k-j), k = max(i,j)..i+j, each scaling a
+        # product of coordinates of `digits` digits.  The constants grow while
+        # k + 1 is below the larger root m of 2m^2 - (2i+2j+1)m + ij, then fall.
+        s = 2 * (i + j) + 1
+        m = int((s + sqrt(s * s - 8 * i * j)) / 4)
+        peak = max(_log10_comb(k, i) + _log10_comb(i, k - j)
+                   for k in {min(max(m + d, i, j), i + j) for d in (-2, -1, 0, 1)})
+        return (min(i, j) + 1) * (peak + digits)
 
     def _product(self, other: NumericalPoly) -> NumericalPoly:
         return numerical_mul(self, other)

@@ -171,7 +171,10 @@ class LaurentPoly:
         binom(x, k) = binom(x, k-1) (x - k + 1) / k."""
         out = [LaurentPoly.one(self.var)]
         for k in range(1, n + 1):
-            out.append(out[-1] * (self - (k - 1)) * Fraction(1, k))
+            acc = LaurentPoly.accumulator(self.var)
+            acc.add(out[-1], self - (k - 1))
+            acc.den *= k  # divide the integer numerators by k once, in `value`
+            out.append(acc.value())
         return out
 
     def div_scalar_exact(self, n: Scalar) -> LaurentPoly:
@@ -198,24 +201,26 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.var)
-        # Shift both to ordinary polynomials and run dense long division.
-        a_lo, b_lo = self.lo(), other.lo()
-        a = [Fraction(self.coeff(a_lo + i)) for i in range(self.hi() - a_lo + 1)]
-        b = [Fraction(other.coeff(b_lo + i)) for i in range(other.hi() - b_lo + 1)]
-        if len(a) < len(b):
-            raise InexactDivisionError(f"{other} does not divide {self}")
-        lead = b[-1]
-        q = [Fraction(0)] * (len(a) - len(b) + 1)
-        rem = a[:]
-        for i in range(len(q) - 1, -1, -1):
-            coef = rem[i + len(b) - 1] / lead
-            q[i] = coef
-            if coef:
-                for j, bj in enumerate(b):
-                    rem[i + j] -= coef * bj
-        if any(rem):
-            raise InexactDivisionError(f"{other} does not divide {self}")
-        quo = LaurentPoly(self.var, {a_lo - b_lo + i: c for i, c in enumerate(q)})
+        if len(other.coeffs) == 1:  # a unit of the Laurent ring
+            quo = self * other.inverse()
+        else:  # shift both to ordinary polynomials and run dense long division
+            a_lo, b_lo = self.lo(), other.lo()
+            a = [Fraction(self.coeff(a_lo + i)) for i in range(self.hi() - a_lo + 1)]
+            b = [Fraction(other.coeff(b_lo + i)) for i in range(other.hi() - b_lo + 1)]
+            if len(a) < len(b):
+                raise InexactDivisionError(f"{other} does not divide {self}")
+            lead = b[-1]
+            q = [Fraction(0)] * (len(a) - len(b) + 1)
+            rem = a[:]
+            for i in range(len(q) - 1, -1, -1):
+                coef = rem[i + len(b) - 1] / lead
+                q[i] = coef
+                if coef:
+                    for j, bj in enumerate(b):
+                        rem[i + j] -= coef * bj
+            if any(rem):
+                raise InexactDivisionError(f"{other} does not divide {self}")
+            quo = LaurentPoly(self.var, {a_lo - b_lo + i: c for i, c in enumerate(q)})
         if over_integers and self.is_integral() and other.is_integral() and not quo.is_integral():
             raise InexactDivisionError(f"{other} does not divide {self} over the integers")
         return quo

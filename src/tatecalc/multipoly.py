@@ -1,10 +1,10 @@
 """Multivariate polynomials over Q, and the display form of a Laurent quotient.
 
 MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
-generator tuple.  It does the multivariate work: renorm's Q[x,y], and the
-polynomials of the evaluator's series mode, over whichever generators an
-expression names.  Every one-variable series the engine builds itself runs
-over `LaurentPoly` instead.  Products are fraction-free: `MultiPoly.accumulator`
+generator tuple.  Its one caller is the evaluator's series mode, over
+whichever generators an expression names.  Every series the engine builds
+itself runs over `LaurentPoly` instead, renorm's Q[x,y] included (by
+Kronecker substitution).  Products are fraction-free: `MultiPoly.accumulator`
 sums any number of products x*y as integer numerators keyed by exponent
 vector over one common denominator, and normalises to Fractions once, when
 the sum is read.  The series kernel keeps one accumulator per output
@@ -90,13 +90,6 @@ class MultiPoly:
 
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * len(self.gens), Fraction(0))
-
-    def coeff(self, expo: Expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def _require_same(self, other: MultiPoly) -> None:
         if self.gens != other.gens:
@@ -213,27 +206,6 @@ class MultiPoly:
                 else:
                     rem.pop(t, None)
         return MultiPoly(self.gens, quo)
-
-    # -- structure ------------------------------------------------------------
-
-    def collapse(self, src: str, dst: str) -> MultiPoly:
-        """Substitute generator src := dst, dropping src from the generator list."""
-        if src not in self.gens or dst not in self.gens:
-            raise DomainError(f"{src} or {dst} is not a generator of {self.gens}")
-        si, di = self.gens.index(src), self.gens.index(dst)
-        new_gens = tuple(g for g in self.gens if g != src)
-        out: dict[Expo, Fraction] = {}
-        for expo, v in self.terms.items():
-            merged = list(expo)
-            merged[di] += merged[si]
-            del merged[si]
-            key = tuple(merged)
-            nv = out.get(key, Fraction(0)) + v
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return MultiPoly(new_gens, out)
 
     def __str__(self) -> str:
         def mono(expo: Expo) -> str:

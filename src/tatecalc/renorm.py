@@ -9,23 +9,32 @@ Q[x,y][[T]].  The consistency identity then reads
 
 with no stray scale factors, and the diagonal y := x collapses b_over_beta to
 T^-1 log(1+T).
+
+The series run over Q[x^±1] by Kronecker substitution (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 8): at order n, y is x^K, K = n + 3.
+x^i y^j -> x^(i+Kj) is a ring map into a domain, so it keeps exact quotients,
+and it is injective on polynomials of x-degree below K.  Every coefficient
+built at order n has x- and y-degree at most n + 2 < K, so each series is the
+image of its Q[x,y] counterpart and every check has the same verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly
+from .laurent import LaurentPoly
 from .report import Check, VerificationReport
-from .series import Ring, TruncSeries, poly_ring
+from .series import Ring, TruncSeries, laurent_coeff_ring
 
-GENS = ("x", "y")
-RING = poly_ring(*GENS)
-X = MultiPoly.var(GENS, "x")
-Y = MultiPoly.var(GENS, "y")
+RING = laurent_coeff_ring("x")
+X = LaurentPoly("x", {1: 1})
 
 
-def _log_one_minus(scale: MultiPoly, order: int) -> TruncSeries:
+def _y(order: int) -> LaurentPoly:
+    return LaurentPoly("x", {order + 3: 1})
+
+
+def _log_one_minus(scale: LaurentPoly, order: int) -> TruncSeries:
     """log(1 - scale*T), reliable through `order`, computed by the engine."""
     s = TruncSeries.from_coeffs(RING, 0, [RING.one, -scale], order=order)
     return s.log()
@@ -45,8 +54,9 @@ def b_over_cinv(order: int) -> TruncSeries:
 
 def beta_over_qinv(order: int) -> TruncSeries:
     """-log(1 - yT) / (y log(1+T)) as an exact series quotient."""
-    num = -_log_one_minus(Y, order + 1)
-    den = _log_one_plus_t(order + 1).scalar_mul(Y)
+    y = _y(order)
+    num = -_log_one_minus(y, order + 1)
+    den = _log_one_plus_t(order + 1).scalar_mul(y)
     return num.div_exact(den)
 
 
@@ -56,11 +66,12 @@ def b_over_beta(order: int) -> TruncSeries:
         (x^-1 log(1 - xT)) / (y^-1 log(1 - yT)),
 
     which is what makes the constant term 1 and keeps coefficients in Q[x,y]."""
+    y = _y(order)
     num = _log_one_minus(X, order + 1).div_exact(
         TruncSeries.constant(RING, X, order + 1)
     )
-    den = _log_one_minus(Y, order + 1).div_exact(
-        TruncSeries.constant(RING, Y, order + 1)
+    den = _log_one_minus(y, order + 1).div_exact(
+        TruncSeries.constant(RING, y, order + 1)
     )
     ratio = num.div_exact(den)
     prefactor = _log_one_plus_t(order + 1).shifted(-1).trimmed()
@@ -68,28 +79,36 @@ def b_over_beta(order: int) -> TruncSeries:
 
 
 def specialize_diagonal(s: TruncSeries, target: Ring | None = None) -> TruncSeries:
-    """Substitute y := x, landing in Q[x]."""
-    ring = target or poly_ring("x")
-    return s.map_coeffs(lambda p: p.collapse("y", "x"), ring)
+    """Substitute y := x in a series built at order s.order, landing in Q[x]:
+    x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j)."""
+    k = s.order + 3
+
+    def diagonal(p: LaurentPoly) -> LaurentPoly:
+        out: dict[int, Fraction | int] = {}
+        for e, v in p.coeffs.items():
+            out[e % k + e // k] = out.get(e % k + e // k, 0) + v
+        return LaurentPoly("x", out)
+
+    return s.map_coeffs(diagonal, target or RING)
 
 
 def t_inv_log_one_plus(order: int) -> TruncSeries:
     """T^-1 log(1+T) = 1 - T/2 + T^2/3 - ... over Q[x] (diagonal reference)."""
-    ring = poly_ring("x")
-    coeffs = [MultiPoly.const(("x",), Fraction((-1) ** k, k + 1)) for k in range(order + 1)]
-    return TruncSeries(ring, 0, order, coeffs)
+    coeffs = [LaurentPoly("x", {0: Fraction((-1) ** k, k + 1)}) for k in range(order + 1)]
+    return TruncSeries(RING, 0, order, coeffs)
 
 
 def verify_renorm(order: int) -> VerificationReport:
     """Division contracts by multiply-back, the diagonal collapse, and the
     three-ratio consistency identity."""
+    y = _y(order)
     bc = b_over_cinv(order)
     xt = TruncSeries.from_coeffs(RING, 1, [X], order=order + 1)
     bc_ok = (bc * xt).agrees_with(-_log_one_minus(X, order + 1))
 
     bq = beta_over_qinv(order)
-    den = _log_one_plus_t(order + 1).scalar_mul(Y).trimmed()
-    bq_ok = (bq * den).agrees_with(-_log_one_minus(Y, order + 1))
+    den = _log_one_plus_t(order + 1).scalar_mul(y).trimmed()
+    bq_ok = (bq * den).agrees_with(-_log_one_minus(y, order + 1))
 
     bb = b_over_beta(order)
     diag_ok = specialize_diagonal(bb).agrees_with(t_inv_log_one_plus(order))

@@ -304,8 +304,17 @@ class CSeriesResult:
 
     c_hat: TruncSeries       # over Q[b^±1]; starts at b^-1
     c_hat_inv: TruncSeries   # over Q[b^±1], supported on b^1, b^2, ...
-    matching_sign: int | None
+    mismatch: tuple[int, int]  # first T^n where c_hat and +/- b^-1 B(-bT) differ, else order + 1
     round_trip_ok: bool      # -T^-1 log(1 - c_hat_inv T) == b
+
+    def sign_through(self, n: int) -> int | None:
+        """The unique sign s with c_hat = s * b^-1 * B(-bT) through T^n, else None."""
+        matches = [s for s, first in zip((1, -1), self.mismatch) if first > n]
+        return matches[0] if len(matches) == 1 else None
+
+    @property
+    def matching_sign(self) -> int | None:
+        return self.sign_through(self.c_hat.order)
 
 
 def c_series_from_b(order: int) -> CSeriesResult:
@@ -320,12 +329,9 @@ def c_series_from_b(order: int) -> CSeriesResult:
     # Bernoulli form: s * b^-1 * B(-bT); B(D) = sum (B_n/n!) D^n, so the T^n
     # coefficient is s * (-1)^n (B_n/n!) b^(n-1)
     bern = bernoulli_minus(order)
-    base = [
-        LaurentPoly("b", {n - 1: bern.coeff(n) * (-1) ** n}) for n in range(order + 1)
-    ]
-    bform = TruncSeries(ring, 0, order, base)
-    matches = [s for s in (1, -1) if c_hat.agrees_with(bform.scalar_mul(s))]
-    matching_sign = matches[0] if len(matches) == 1 else None
+    form = [LaurentPoly("b", {n - 1: bern.coeff(n) * (-1) ** n}) for n in range(order + 1)]
+    mismatch = tuple(next((n for n, f in enumerate(form) if c_hat.coeff(n) != f * s), order + 1)
+                     for s in (1, -1))
 
     inner = TruncSeries.one(ring, order + 1) - c_hat_inv.shifted(1)
     round_trip = -(inner.log().shifted(-1))
@@ -333,18 +339,19 @@ def c_series_from_b(order: int) -> CSeriesResult:
     round_trip_ok = round_trip.agrees_with(expected_b, through=order)
 
     return CSeriesResult(
-        c_hat=c_hat, c_hat_inv=c_hat_inv, matching_sign=matching_sign, round_trip_ok=round_trip_ok
+        c_hat=c_hat, c_hat_inv=c_hat_inv, mismatch=mismatch, round_trip_ok=round_trip_ok
     )
 
 
 def verify_corollary(order: int) -> VerificationReport:
     """The change of generators b <-> c as two series identities plus the sign
-    finding for the Bernoulli closed form."""
+    finding for the Bernoulli closed form; the sign at each order n is read
+    from the prefix through T^n of the series computed once, at `order`."""
     if order < 1:
         raise DomainError("order must be at least 1")
     bres = b_series_from_c(order)
     cres = c_series_from_b(order)
-    signs = [c_series_from_b(n).matching_sign for n in range(4, order + 1)]
+    signs = [cres.sign_through(n) for n in range(4, order + 1)]
     stable = all(s == cres.matching_sign for s in signs)
     checks = (
         Check(

@@ -8,12 +8,13 @@ finite differences.
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, log10
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tatecalc.basis import (
+    BASIS_MAX_WORK,
     DividedPowerElem,
     NotIntegral,
     NumericalPoly,
@@ -129,6 +130,32 @@ def test_numerical_product_values_agree_pointwise():
             p = numerical_mul(x, y)
             for n in range(-3, max(21, x.degree() + y.degree() + 2)):
                 assert p.evaluate(n) == x.evaluate(n) * y.evaluate(n)
+
+
+# -- the work bound of a product ---------------------------------------------------------
+
+
+def test_work_estimate_finds_the_largest_structure_constant():
+    # _pair_work with coordinates of 0 digits is the number of terms times the
+    # digits of the largest C(k,i) C(i,k-j), found by search here
+    for i in range(50):
+        for j in range(50):
+            largest = max(comb(k, i) * comb(i, k - j) for k in range(max(i, j), i + j + 1))
+            estimate = NumericalPoly._pair_work(i, j, 0) / (min(i, j) + 1)
+            assert estimate == pytest.approx(log10(largest), abs=1e-9)
+            assert DividedPowerElem._pair_work(i, j, 0) == pytest.approx(
+                (lambda d: d * d / 4 + d)(log10(comb(i + j, i))), abs=1e-6)
+
+
+def test_interactive_products_stay_far_below_the_work_bound():
+    # beta_i*beta_j for i, j <= 120 and b_i*b_j for i, j <= 40, the products
+    # an interactive session asks for; beta_3000^3 is refused at its last step
+    beta, b = NumericalPoly.basis, DividedPowerElem.basis
+    assert beta(120)._work(beta(120)) < BASIS_MAX_WORK / 10**4
+    assert b(40)._work(b(40)) < BASIS_MAX_WORK / 10**6
+    square = beta(3000) * beta(3000)
+    with pytest.raises(DomainError, match="digit operations, above the bound of 2e[+]09$"):
+        square * beta(3000)
 
 
 def test_numerical_evaluate_matches_comb():

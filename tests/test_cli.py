@@ -127,6 +127,21 @@ def test_integer_over_4300_digits_exit_2(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
+def over_bound(noun, work):
+    return (f"error: the product of {noun} would take about {work} digit operations, "
+            "above the bound of 2e+09\n")
+
+
+@pytest.mark.parametrize("expr,err", [
+    ("beta_3000^3", over_bound("numerical polynomials", "4.9e+10")),
+    ("beta_100000*beta_100000", over_bound("numerical polynomials", "7.7e+09")),
+    ("b_200000*b_200000", over_bound("divided-power elements", "3.6e+09")),
+], ids=["beta-cube", "beta-product", "b-product"])
+def test_basis_product_over_the_work_bound_exit_2(capsys, expr, err):
+    # refused from the estimate, before the product is computed
+    assert run(capsys, "eval", expr) == (2, "", err)
+
+
 def test_value_error_while_computing_is_not_masked(capsys, monkeypatch):
     def fail(*args):
         raise ValueError("integer string conversion inside the engine")

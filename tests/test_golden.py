@@ -21,6 +21,8 @@ MIXED = "(q^-3 + 2*q^4 - 5)*(1-q)^-3"
 CASES = [
     ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"], 0),
     ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"], 0),
+    # every capped suite at its cap: corollary at 32, renorm at 24
+    ("verify_all_o64_seed7.txt", ["verify", "all", "--order", "64", "--seed", "7"], 0),
     ("q_integrality_o16.txt", ["report", "q-integrality", "--order", "16"], 0),
     ("q_integrality_o16.json", ["report", "q-integrality", "--order", "16", "--json"], 0),
     ("corollary_sign_o12.json", ["report", "corollary-sign", "--order", "12", "--json"], 0),

@@ -83,6 +83,48 @@ def test_exact_division():
         lp("q", {0: 3}).div_scalar_exact(2)
 
 
+def long_division(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Schoolbook long division over Fraction from the top degree down, the
+    oracle for division by a unit; asserts that it leaves no remainder."""
+    rem = {e: Fraction(v) for e, v in a.coeffs.items()}
+    top, lead = b.hi(), Fraction(b.coeff(b.hi()))
+    quo = {}
+    for e in range(a.hi(), a.lo() - 1, -1):
+        c = rem.pop(e, 0)
+        if c and e - top >= a.lo() - b.lo():
+            quo[e - top] = c / lead
+            for eb, vb in b.coeffs.items():
+                if eb != top:
+                    rem[e - top + eb] = rem.get(e - top + eb, 0) - c / lead * vb
+        else:
+            assert not c
+    return LaurentPoly(a.var, quo)
+
+
+scalars = st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=5))
+
+
+@given(st.dictionaries(st.integers(-8, 8), scalars, max_size=6), st.integers(-5, 5),
+       scalars.filter(bool))
+def test_division_by_a_unit_matches_long_division(a, e, v):
+    x, unit = lp("q", a), lp("q", {e: v})
+    expected = long_division(x, unit)
+    assert x.div_exact(unit, over_integers=False) == expected
+    if x.is_integral() and unit.is_integral() and not expected.is_integral():
+        with pytest.raises(InexactDivisionError) as err:
+            x.div_exact(unit)
+        assert str(err.value) == f"{unit} does not divide {x} over the integers"
+    else:
+        assert x.div_exact(unit) == expected
+
+
+def test_division_by_a_non_unit_monomial_over_the_integers_is_refused():
+    with pytest.raises(InexactDivisionError, match=r"^2\*q does not divide q over the integers$"):
+        lp("q", {1: 1}).div_exact(lp("q", {1: 2}))
+    assert lp("q", {1: 1}).div_exact(lp("q", {1: 2}), over_integers=False) == lp(
+        "q", {0: Fraction(1, 2)})
+
+
 def test_dilation():
     p = lp("q", {-1: 1, 2: 3})
     assert p.dilated(2) == lp("q", {-2: 1, 4: 3})

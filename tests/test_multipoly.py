@@ -65,13 +65,6 @@ def test_negative_power_is_typed_error():
         x ** -1
 
 
-def test_collapse_merges_generators():
-    x = MultiPoly.var(GENS, "x")
-    y = MultiPoly.var(GENS, "y")
-    p = x * y + y * y
-    assert p.collapse("y", "x") == MultiPoly(("x",), {(2,): 2})
-
-
 def value_at(p: LaurentPoly, x: Fraction | int) -> Fraction:
     """A polynomial at a rational point, term by term over Fraction."""
     return sum((v * Fraction(x) ** e for e, v in p.coeffs.items()), Fraction(0))

@@ -477,6 +477,76 @@ def test_inverse_over_integral_laurent_ring_stays_integral():
         assert (a * inv).is_one_series()
 
 
+# -- truncation consistency ----------------------------------------------------------------
+#
+# A kernel's coefficient through T^n reads only its inputs through T^n, so the
+# result at order n is the order-N result truncated to n.  tate_h's corollary
+# reads its per-order Bernoulli signs from one series on this property.
+
+
+def _laurent_values(var, values):
+    return st.dictionaries(st.integers(-2, 2), values, max_size=2).map(
+        lambda d: LaurentPoly(var, d))
+
+
+def _laurent_units(var, values):
+    return st.tuples(st.integers(-2, 2), values.filter(bool)).map(
+        lambda t: LaurentPoly(var, {t[0]: t[1]}))
+
+
+_SMALL_Q = st.fractions(-2, 2, max_denominator=3)
+_TRUNC_RINGS = {  # name: (ring, coefficient values, units)
+    "ZZ": (ZZ, st.integers(-3, 3), st.sampled_from([1, -1])),
+    "QQ": (QQ, _SMALL_Q, _SMALL_Q.filter(bool)),
+    "QQ[b^±1]": (laurent_coeff_ring("b"), _laurent_values("b", _SMALL_Q),
+                 _laurent_units("b", _SMALL_Q)),
+    "ZZ[c^±1]": (laurent_coeff_ring("c", integral=True), _laurent_values("c", st.integers(-3, 3)),
+                 _laurent_units("c", st.sampled_from([1, -1]))),
+}
+TRUNC_RINGS = pytest.mark.parametrize("name", list(_TRUNC_RINGS))
+
+
+@st.composite
+def order_n_series(draw, name, order, lead=None):
+    """A series over T^0..T^order with a few nonzero coefficients, opening
+    with `lead` when given (a strategy) and with zero otherwise."""
+    ring, values, _ = _TRUNC_RINGS[name]
+    coeffs = [ring.zero] * (order + 1)
+    for k in draw(st.lists(st.integers(1, order), max_size=4)):
+        coeffs[k] = ring.from_int(0) + draw(values)
+    if lead is not None:
+        coeffs[0] = draw(lead)
+    return TruncSeries(ring, 0, order, coeffs)
+
+
+def _agrees_through_n(short, long, n):
+    assert short.order == n <= long.order
+    lo = min(short.low, long.low)
+    assert [short.coeff(k) for k in range(lo, n + 1)] == [long.coeff(k) for k in range(lo, n + 1)]
+
+
+@TRUNC_RINGS
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernels_at_order_n_are_the_order_N_results_truncated(name, data):
+    ring, values, units = _TRUNC_RINGS[name]
+    big = data.draw(st.integers(1, 40))
+    n = data.draw(st.integers(0, big - 1))
+    a = data.draw(order_n_series(name, big, lead=values))
+    b = data.draw(order_n_series(name, big, lead=values.filter(lambda v: v != 0)))
+    u = data.draw(order_n_series(name, big, lead=units))
+    cut = lambda s: s.truncated(n)  # noqa: E731
+    _agrees_through_n(cut(a) * cut(b), a * b, n)
+    _agrees_through_n(cut(u).inverse(), u.inverse(), n)
+    product = a * b  # exactly divisible by b, also over the integers
+    _agrees_through_n(cut(product).div_exact(cut(b)), product.div_exact(b), n)
+    if ring.rational:
+        x = data.draw(order_n_series(name, big))  # zero constant term
+        _agrees_through_n(cut(x).exp(), x.exp(), n)
+        one_plus = TruncSeries.one(ring, big) + x
+        _agrees_through_n(cut(one_plus).log(), one_plus.log(), n)
+
+
 @pytest.mark.parametrize("negate", [False, True])
 def test_binomial_poly_series_is_binom_poly(negate):
     arg = LaurentPoly("beta", {1: -1 if negate else 1})

@@ -12,11 +12,11 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from tatecalc import tate_h, tate_k  # noqa: E402
+from tatecalc import renorm, tate_h, tate_k  # noqa: E402
 from tatecalc.series import bernoulli_number  # noqa: E402
 
 ORDER = 10
-T, b, x, beta = sp.symbols("T b x beta")
+T, b, x, y, beta = sp.symbols("T b x y beta")
 
 
 def sympy_coeffs(expr, var) -> list[dict[int, Fraction]]:
@@ -49,6 +49,37 @@ def test_b_series_matches_sympy():
     # -T^-1 log(1 - xT)
     engine = tate_h.b_series_from_c(ORDER).series
     assert engine_coeffs(engine) == sympy_coeffs(-sp.log(1 - x * T) / T, x)
+
+
+def sympy_coeffs_xy(*factors) -> list[dict[tuple[int, int], Fraction]]:
+    """The T^0..T^ORDER coefficients of a product of power series in T, each
+    as {(x exponent, y exponent): value}; sympy expands each factor alone."""
+    product = sp.Integer(1)
+    for f in factors:
+        product = sp.expand(product * sp.series(f, T, 0, ORDER + 1).removeO())
+    out = []
+    for k in range(ORDER + 1):
+        poly = sp.Poly(product.coeff(T, k), x, y)
+        out.append({e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms() if c != 0})
+    return out
+
+
+def renorm_coeffs(series) -> list[dict[tuple[int, int], Fraction]]:
+    """renorm's coefficients over Q[x^±1] decoded back to Q[x,y]: at order n,
+    x^e stands for x^(e mod K) y^(e div K) with K = n + 3."""
+    k = series.order + 3
+    return [{(e % k, e // k): Fraction(v) for e, v in series.coeff(n).coeffs.items()}
+            for n in range(ORDER + 1)]
+
+
+@pytest.mark.parametrize("name,factors", [
+    ("b_over_cinv", [-sp.log(1 - x * T) / (x * T)]),
+    ("beta_over_qinv", [-sp.log(1 - y * T) / (y * T), T / sp.log(1 + T)]),
+    ("b_over_beta", [sp.log(1 + T) / T, sp.log(1 - x * T) / (x * T), y * T / sp.log(1 - y * T)]),
+], ids=["b_over_cinv", "beta_over_qinv", "b_over_beta"])
+def test_renorm_ratios_match_sympy(name, factors):
+    engine = getattr(renorm, name)(ORDER)
+    assert renorm_coeffs(engine) == sympy_coeffs_xy(*factors)
 
 
 def test_bernoulli_numbers_match_sympy_up_to_the_b1_convention():

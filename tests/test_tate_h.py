@@ -10,6 +10,8 @@ from tatecalc.basis import DividedPowerElem
 from tatecalc.errors import DomainError
 from tatecalc.laurent import LaurentPoly
 from tatecalc import tate_h
+from tatecalc.report import Check, VerificationReport
+from tatecalc.series import TruncSeries
 from tatecalc.tate_h import Grading, GradedTSeries
 
 
@@ -190,6 +192,76 @@ def test_c_series_round_trip_order_32():
     res = tate_h.c_series_from_b(32)
     assert res.round_trip_ok
     assert res.matching_sign == 1
+
+
+# -- the sign scan in one pass against the per-order recomputation --------------------
+
+
+def per_order_sign(n: int) -> int | None:
+    """The Bernoulli-form sign of c_hat recomputed at order n, matched over the
+    whole series by `agrees_with`, as the scan did before it read prefixes."""
+    c_hat = tate_h.c_series_from_b(n).c_hat
+    bern = tate_h.bernoulli_minus(n)
+    bform = TruncSeries(c_hat.ring, 0, n,
+                        [LaurentPoly("b", {k - 1: bern.coeff(k) * (-1) ** k}) for k in range(n + 1)])
+    matches = [s for s in (1, -1) if c_hat.agrees_with(bform.scalar_mul(s))]
+    return matches[0] if len(matches) == 1 else None
+
+
+def per_order_corollary(order: int) -> VerificationReport:
+    """verify_corollary with one series recomputation per order 4..order."""
+    sign = per_order_sign(order)
+    signs = [per_order_sign(n) for n in range(4, order + 1)]
+    checks = (
+        Check("exp(b-series) inverts (1 - xT)",
+              None if tate_h.b_series_from_c(order).exp_check_ok else "multiply-back is not 1"),
+        Check("c-hat round trip recovers b",
+              None if tate_h.c_series_from_b(order).round_trip_ok
+              else "-T^-1 log(1 - c_hat_inv T) != b"),
+        Check("unique Bernoulli-form sign", "no unique sign matched" if sign is None else None,
+              note=None if sign is None
+              else f"c_hat = {sign:+d} * b^-1 * B(-bT) with B(D) = D/(e^D - 1)"),
+        Check("sign stable across orders",
+              None if all(s == sign for s in signs) else f"signs per order 4..{order}: {signs}"),
+    )
+    return VerificationReport("corollary", order, checks)
+
+
+def assert_one_pass_matches_per_order(top: int) -> None:
+    reference = {n: per_order_sign(n) for n in range(4, top + 1)}
+    for order in range(4, top + 1):
+        res = tate_h.c_series_from_b(order)
+        assert [res.sign_through(n) for n in range(4, order + 1)] == [
+            reference[n] for n in range(4, order + 1)]
+        assert res.matching_sign == reference[order]
+    for order in (4, 5, 12, top):
+        assert str(tate_h.verify_corollary(order)) == str(per_order_corollary(order))
+
+
+def test_one_pass_signs_equal_the_per_order_recomputation():
+    assert_one_pass_matches_per_order(40)
+    assert tate_h.verify_corollary(40).passed
+
+
+@pytest.mark.parametrize("flip", [1, 10, 30])
+def test_one_pass_signs_and_failing_text_with_a_flipped_bernoulli_coefficient(
+        monkeypatch, flip):
+    real = tate_h.bernoulli_minus
+
+    def flipped(order):
+        s = real(order)
+        if flip > order:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[flip] = -coeffs[flip]
+        return TruncSeries(s.ring, s.low, s.order, coeffs, s.var)
+
+    monkeypatch.setattr(tate_h, "bernoulli_minus", flipped)
+    assert_one_pass_matches_per_order(40)
+    rep = tate_h.verify_corollary(40)
+    assert not rep.passed
+    if flip >= 4:
+        assert f"signs per order 4..40: [{', '.join(['1'] * (flip - 4))}" in str(rep)
 
 
 def test_corollary_report():
