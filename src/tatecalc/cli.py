@@ -6,11 +6,17 @@ integers of more than 4300 digits (typed in or to print) included.  The
 `tatecalc` script also exits 1, without a traceback, when the reader of its
 output closes the pipe early.  All randomness is seeded, so identical
 invocations produce byte-identical output.
+
+The argparse parser is built once per process, on the first `main` call, and
+reused: `parse_args` keeps no state between calls (each call gets a new
+namespace, usage errors look up `sys.stderr` when they print, and `prog` is
+fixed), so a long-lived caller pays for `build_parser` once, not per query.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,6 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--json", action="store_true")
 
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  `build_parser` is looked
+    up at call time and not cached itself, so it stays a plain public function
+    that returns a new parser."""
+    return build_parser()
 
 
 def _print(render: Callable[[], str]) -> None:
@@ -170,9 +184,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import expansions, tate_h, tate_k
 from .basis import DividedPowerElem, NumericalPoly
-from .errors import TateCalcError
+from .errors import DomainError, TateCalcError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 from .parser import Bin, Call, Expr, Neg, Num, Pow, Sym, functions_used, symbols_used
@@ -63,8 +63,19 @@ def evaluate(expr: Expr, mode: str = "auto", order: int = 8):
     if mode == "tate_k":
         return _EvalK(order).eval(expr)
     if mode == "series":
+        if order == 0 and "T" in symbols_used(expr):
+            # T needs order >= 1: work at order 1, then keep the T^0 term
+            return _order_zero(_EvalSeries(1, expr).eval(expr))
         return _EvalSeries(order, expr).eval(expr)
     raise EvalError(f"unknown ring hint {mode!r}")
+
+
+def _order_zero(v: TruncSeries) -> TruncSeries:
+    """A series truncated to order 0.  One that starts above T^0, as T does,
+    has no order-0 truncation and keeps the constructor's error."""
+    if v.low > 0:
+        raise DomainError(f"order 0 below lowest exponent {v.low}")
+    return v.truncated(0)
 
 
 def _is_scalar(v) -> bool:

@@ -27,9 +27,10 @@ Scalar = int | Fraction
 
 
 def canon_scalar(value: Scalar) -> Scalar:
-    """Collapse integral Fractions to int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
+    """Collapse integral Fractions to int.  An exact type test: `isinstance`
+    against the ABC-registered `Fraction` is slow on an int."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
     return value
 
 
@@ -92,10 +93,10 @@ class LaurentPoly:
         return LaurentPoly(self.var, {e: -v for e, v in self.coeffs.items()})
 
     def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly(self.var, {0: other})
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly(self.var, {0: other})
         self._require_same(other)
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
@@ -132,10 +133,10 @@ class LaurentPoly:
         return DenseAccumulator(var)
 
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly(self.var, {e: v * other for e, v in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return LaurentPoly(self.var, {e: v * other for e, v in self.coeffs.items()})
         self._require_same(other)
         acc = LaurentPoly.accumulator(self.var)
         acc.add(self, other)

@@ -45,19 +45,37 @@ def _log_one_plus_t(order: int) -> TruncSeries:
     return one_plus.log()
 
 
+def _xt(order: int) -> TruncSeries:
+    """The divisor xT, reliable through `order`."""
+    return TruncSeries.from_coeffs(RING, 1, [X], order=order)
+
+
+def _b_over_cinv(log_x: TruncSeries, xt: TruncSeries) -> TruncSeries:
+    return (-log_x).div_exact(xt)
+
+
+def _beta_over_qinv(log_y: TruncSeries, y_log_t: TruncSeries) -> TruncSeries:
+    return (-log_y).div_exact(y_log_t)
+
+
+def _b_over_beta(order: int, y: LaurentPoly, log_x: TruncSeries, log_y: TruncSeries,
+                 log_t: TruncSeries) -> TruncSeries:
+    num = log_x.div_exact(TruncSeries.constant(RING, X, order + 1))
+    den = log_y.div_exact(TruncSeries.constant(RING, y, order + 1))
+    prefactor = log_t.shifted(-1).trimmed()
+    return (prefactor * num.div_exact(den)).truncated(order)
+
+
 def b_over_cinv(order: int) -> TruncSeries:
     """-log(1 - xT) / (xT); the T^k coefficient is x^k/(k+1)."""
-    num = -_log_one_minus(X, order + 1)
-    xt = TruncSeries.from_coeffs(RING, 1, [X], order=order + 1)
-    return num.div_exact(xt)
+    return _b_over_cinv(_log_one_minus(X, order + 1), _xt(order + 1))
 
 
 def beta_over_qinv(order: int) -> TruncSeries:
     """-log(1 - yT) / (y log(1+T)) as an exact series quotient."""
     y = _y(order)
-    num = -_log_one_minus(y, order + 1)
-    den = _log_one_plus_t(order + 1).scalar_mul(y)
-    return num.div_exact(den)
+    return _beta_over_qinv(_log_one_minus(y, order + 1),
+                           _log_one_plus_t(order + 1).scalar_mul(y))
 
 
 def b_over_beta(order: int) -> TruncSeries:
@@ -67,15 +85,8 @@ def b_over_beta(order: int) -> TruncSeries:
 
     which is what makes the constant term 1 and keeps coefficients in Q[x,y]."""
     y = _y(order)
-    num = _log_one_minus(X, order + 1).div_exact(
-        TruncSeries.constant(RING, X, order + 1)
-    )
-    den = _log_one_minus(y, order + 1).div_exact(
-        TruncSeries.constant(RING, y, order + 1)
-    )
-    ratio = num.div_exact(den)
-    prefactor = _log_one_plus_t(order + 1).shifted(-1).trimmed()
-    return (prefactor * ratio).truncated(order)
+    return _b_over_beta(order, y, _log_one_minus(X, order + 1),
+                        _log_one_minus(y, order + 1), _log_one_plus_t(order + 1))
 
 
 def specialize_diagonal(s: TruncSeries, target: Ring | None = None) -> TruncSeries:
@@ -102,15 +113,20 @@ def verify_renorm(order: int) -> VerificationReport:
     """Division contracts by multiply-back, the diagonal collapse, and the
     three-ratio consistency identity."""
     y = _y(order)
-    bc = b_over_cinv(order)
-    xt = TruncSeries.from_coeffs(RING, 1, [X], order=order + 1)
-    bc_ok = (bc * xt).agrees_with(-_log_one_minus(X, order + 1))
+    # each series and divisor is built once and shared by the ratios and checks
+    log_x = _log_one_minus(X, order + 1)
+    log_y = _log_one_minus(y, order + 1)
+    log_t = _log_one_plus_t(order + 1)
+    xt = _xt(order + 1)
+    y_log_t = log_t.scalar_mul(y)
 
-    bq = beta_over_qinv(order)
-    den = _log_one_plus_t(order + 1).scalar_mul(y).trimmed()
-    bq_ok = (bq * den).agrees_with(-_log_one_minus(y, order + 1))
+    bc = _b_over_cinv(log_x, xt)
+    bc_ok = (bc * xt).agrees_with(-log_x)
 
-    bb = b_over_beta(order)
+    bq = _beta_over_qinv(log_y, y_log_t)
+    bq_ok = (bq * y_log_t.trimmed()).agrees_with(-log_y)
+
+    bb = _b_over_beta(order, y, log_x, log_y, log_t)
     diag_ok = specialize_diagonal(bb).agrees_with(t_inv_log_one_plus(order))
     checks = (
         Check("b/cinv multiply-back", None if bc_ok else "bc * xT != -log(1-xT)"),

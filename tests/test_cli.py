@@ -214,6 +214,20 @@ def test_eval_order_zero_drops_the_higher_given_terms(capsys):
     assert err.strip() == "error: order 0 below lowest exponent 1"
 
 
+@pytest.mark.parametrize("expr,text", [
+    ("1+T", "1"),
+    ("exp(cinv*T)", "1"),
+    ("(T+T^2)/T", "1"),
+    ("log(1+T)", "0"),
+])
+def test_eval_order_zero_keeps_the_constant_term_of_an_expression_in_t(capsys, expr, text):
+    # T needs order >= 1: the expression is built at order 1, then truncated
+    assert run(capsys, "eval", expr, "--order", "0") == (0, text + "\n", "")
+    code, out, err = run(capsys, "eval", expr, "--order", "0", "--json")
+    payload = json.loads(out)
+    assert (code, err, payload["order"], payload["value"]["order"]) == (0, "", 0, 0)
+
+
 def test_closed_pipe_exits_1_without_traceback():
     # the JSON is far larger than a pipe's buffer, so writing it must meet the
     # closed reader whatever the timing
@@ -300,3 +314,54 @@ def test_verify_all_small_order(capsys):
         "prop1", "corollary", "prop2", "cartier", "rota-baxter",
         "exactness-h", "exactness-k", "expansions", "adams", "renorm",
     }
+
+
+# -- one parser per process ----------------------------------------------------
+
+SESSION = [
+    ["eval", "boundary(cinv^2)", "--json"],
+    ["eval", "boundary(cinv^2)"],
+    ["verify", "prop1", "--order", "8", "--defect", "2"],
+    ["verify", "prop1", "--order", "8"],  # no --defect left over from the call before
+    ["verify", "nosuch"],  # an argparse usage error, exit 2
+    ["eval", "geom(cinv)", "--order", "3"],
+    ["expand", "(1-q)^-1", "--at", "0", "--order", "5"],
+    ["report", "corollary-sign", "--order", "8"],
+    ["eval", "exp("],
+]
+
+
+def test_one_session_answers_as_fresh_processes(capsys, monkeypatch):
+    # the reused parser keeps no state from one call to the next: each answer,
+    # usage errors included, is the one a fresh process gives
+    src = Path(tatecalc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    fresh = []
+    for argv in SESSION:
+        proc = subprocess.run([sys.executable, "-m", "tatecalc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 2, 0, 0, 0, 2]
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in SESSION] == fresh
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", spy)
+    try:
+        for i in range(50):
+            main(list(SESSION[i % len(SESSION)]))
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert build_parser() is not build_parser()  # the public function still builds anew

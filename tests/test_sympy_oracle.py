@@ -3,9 +3,11 @@
 sympy is a test-only dependency (skipped where it is missing) and shares no
 code with the engine: each series below is expanded by sympy from its
 closed form and compared coefficient by coefficient, as exact rationals,
-with the engine's series through T^10.
+with the engine's series through T^10.  The exp, log and inverse kernels and
+the binomial-basis conversion are checked on seeded random inputs.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from tatecalc import renorm, tate_h, tate_k  # noqa: E402
-from tatecalc.series import bernoulli_number  # noqa: E402
+from tatecalc.basis import NotIntegral, to_binomial_basis  # noqa: E402
+from tatecalc.laurent import LaurentPoly  # noqa: E402
+from tatecalc.series import QQ, TruncSeries, bernoulli_number  # noqa: E402
 
 ORDER = 10
 T, b, x, y, beta = sp.symbols("T b x y beta")
@@ -89,3 +93,81 @@ def test_bernoulli_numbers_match_sympy_up_to_the_b1_convention():
     # the coefficient of D in D/(e^D - 1)
     assert (ours[1], theirs[1]) == (Fraction(-1, 2), Fraction(1, 2))
     assert ours[:1] + ours[2:] == theirs[:1] + theirs[2:]
+
+
+def random_rationals(rng: random.Random, n: int) -> list[Fraction]:
+    """n seeded rationals with small numerators and denominators, zero included."""
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+def rational(c) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def sympy_series(expr) -> list[Fraction]:
+    series = sp.series(expr, T, 0, ORDER + 1).removeO()
+    return [rational(series.coeff(T, k)) for k in range(ORDER + 1)]
+
+
+def qq_series(coeffs: list[Fraction]) -> TruncSeries:
+    return TruncSeries.from_coeffs(QQ, 0, coeffs, order=ORDER)
+
+
+def sympy_poly(coeffs: list[Fraction]):
+    return sum(sp.Rational(c.numerator, c.denominator) * T**k for k, c in enumerate(coeffs))
+
+
+SEEDS = (1, 2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exp_of_random_series_matches_sympy(seed):
+    a = [Fraction(0)] + random_rationals(random.Random(seed), ORDER)
+    engine = qq_series(a).exp()
+    # exp(sum a_k T^k) = prod exp(a_k T^k): sympy expands each factor alone,
+    # since its series of exp of the whole polynomial is far slower
+    product = sp.Integer(1)
+    for k, c in enumerate(a):
+        factor = sp.series(sp.exp(sp.Rational(c.numerator, c.denominator) * T**k), T, 0, ORDER + 1)
+        product = sp.expand(product * factor.removeO())
+    assert list(engine.coeffs) == [rational(product.coeff(T, k)) for k in range(ORDER + 1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_log_of_random_series_matches_sympy(seed):
+    a = [Fraction(1)] + random_rationals(random.Random(seed), ORDER)
+    assert list(qq_series(a).log().coeffs) == sympy_series(sp.log(sympy_poly(a)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_of_random_unit_series_matches_sympy(seed):
+    rng = random.Random(seed)
+    a = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))]
+    a += random_rationals(rng, ORDER)
+    assert list(qq_series(a).inverse().coeffs) == sympy_series(1 / sympy_poly(a))
+
+
+def sympy_binomial_coords(coeffs: list[Fraction]) -> dict[int, Fraction]:
+    """Coordinates of p = sum coeffs[e] beta^e in the binom(beta, k) basis, by
+    sympy: solve for the c_k with sum c_k binom(n, k) = p(n) at n = 0..deg,
+    then check sum c_k binom(beta, k) == p as polynomials."""
+    p = sum(sp.Rational(c.numerator, c.denominator) * beta**e for e, c in enumerate(coeffs))
+    n = len(coeffs)
+    system = sp.Matrix(n, n, lambda i, k: sp.binomial(i, k))
+    values = sp.Matrix(n, 1, lambda i, _: p.subs(beta, i))
+    c = system.LUsolve(values)
+    rebuilt = sum(c[k] * sp.expand_func(sp.binomial(beta, k)) for k in range(n))
+    assert sp.expand(rebuilt - p) == 0
+    return {k: rational(c[k]) for k in range(n) if c[k] != 0}
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_binomial_basis_of_random_polynomials_matches_sympy(degree):
+    rng = random.Random(degree)
+    coeffs = random_rationals(rng, degree) + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+    if degree % 2:  # integer coefficients: integral in the binomial basis
+        coeffs = [Fraction(c.numerator) for c in coeffs]
+    conv = to_binomial_basis(LaurentPoly("beta", dict(enumerate(coeffs))))
+    ours = (dict(conv.coords) if isinstance(conv, NotIntegral)
+            else {k: Fraction(v) for k, v in conv.coords.items()})
+    assert ours == sympy_binomial_coords(coeffs)
