@@ -15,10 +15,9 @@ estimated work is above BASIS_MAX_WORK; see `_IntBasisElem._work`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lgamma, log, log10, sqrt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .arith import power
 from .errors import DomainError, InexactDivisionError
@@ -273,8 +272,7 @@ def numerical_mul(x: NumericalPoly, y: NumericalPoly) -> NumericalPoly:
     return NumericalPoly(out)
 
 
-@dataclass(frozen=True)
-class NotIntegral:
+class NotIntegral(NamedTuple):
     """Binomial-basis conversion result with non-integer coordinates."""
 
     coords: tuple[tuple[int, Fraction], ...]

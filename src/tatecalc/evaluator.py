@@ -304,9 +304,9 @@ class _EvalSeries(_EvalBase):
         fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
         if isinstance(a, TruncSeries) or isinstance(b, TruncSeries):
             if op == "*" and not isinstance(b, TruncSeries):
-                return a.scalar_mul(self._coeff(b))
+                return a.scalar_mul(self._coeff(b, "scalar multiplication"))
             if op == "*" and not isinstance(a, TruncSeries):
-                return b.scalar_mul(self._coeff(a))
+                return b.scalar_mul(self._coeff(a, "scalar multiplication"))
             return fn(self._promote(a), self._promote(b))
         if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
             a = a if isinstance(a, MultiPoly) else self._const(a)
@@ -314,19 +314,21 @@ class _EvalSeries(_EvalBase):
             return fn(a, b)
         return fn(a, b)
 
-    def _coeff(self, v):
-        """Coerce to a coefficient-ring element."""
+    def _coeff(self, v, what: str):
+        """Coerce to a coefficient-ring element; `what` names the operation
+        that needs one."""
         if isinstance(v, MultiPoly):
             return v
         if _is_scalar(v):
             return self._const(v)
-        raise EvalError(f"{v!r} is not a coefficient")
+        got = "a series in T" if isinstance(v, TruncSeries) else type(v).__name__
+        raise EvalError(f"{what} needs a coefficient, not {got}")
 
     def div(self, a, b):
         if isinstance(a, TruncSeries) and isinstance(b, TruncSeries):
             return a.div_exact(b)
         if isinstance(a, TruncSeries):
-            return a.div_exact(TruncSeries.constant(self.ring, self._coeff(b), a.order))
+            return a.div_exact(TruncSeries.constant(self.ring, self._coeff(b, "division"), a.order))
         if isinstance(b, TruncSeries):
             return self._promote(a).div_exact(b)
         if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
@@ -354,7 +356,7 @@ class _EvalSeries(_EvalBase):
         if e.func == "log":
             return self._promote(self.eval(e.args[0])).log()
         if e.func == "geom":
-            ratio = self._coeff(self.eval(e.args[0]))
+            ratio = self._coeff(self.eval(e.args[0]), "geom")
             return geometric_series(self.ring, ratio, self.order)
         if e.func == "binomial_series":
             return tate_k.binomial_series(self.order)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TateCalcError
 
@@ -68,38 +68,32 @@ class ArityError(ParseError):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
-    args: tuple["Expr", ...] = field(default_factory=tuple)
+    args: tuple["Expr", ...] = ()
 
 
 Expr = Num | Sym | Neg | Bin | Pow | Call
@@ -108,8 +102,7 @@ Expr = Num | Sym | Neg | Bin | Pow | Call
 # -- lexer ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER IDENT OP LPAREN RPAREN COMMA CARET EOF
     text: str
     pos: int

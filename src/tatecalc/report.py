@@ -1,12 +1,17 @@
-"""Verification report records shared by the identity-checking operations."""
+"""Verification report records shared by the identity-checking operations.
+
+The records here and across the package are immutable `NamedTuple`s rather
+than frozen dataclasses: every CLI call is a fresh process, and importing
+`dataclasses` (with `inspect`, `ast` and `dis` behind it) plus building each
+class cost that process about a fifth of its start-up.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity's verdict: it holds exactly when no defect was found."""
 
     identity: str
@@ -26,8 +31,7 @@ class Check:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification at a fixed truncation order.
 
     The identity functions of tate_h, tate_k and renorm are deterministic and

@@ -14,10 +14,9 @@ Laurent rings such as Q[beta^±1], and numerical polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .arith import power
 from .basis import NumericalPoly
@@ -33,8 +32,7 @@ from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     """Operations contract for a coefficient ring whose elements support + - * ==.
 
     `rational` marks rings with exact division by every nonzero integer;

@@ -12,9 +12,9 @@ storing a bare scalar sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .basis import DividedPowerElem
 from .errors import DomainError
@@ -82,25 +82,31 @@ class Grading(enum.Enum):
     HOM_H = "HomH"     # T^k coordinate scales b_k (b_-1 := 0)
 
 
-@dataclass(frozen=True)
-class GradedTSeries:
+class _GradedFields(NamedTuple):
+    # GradedTSeries validates these in `__new__`, which a NamedTuple body may not define
+    tag: Grading
+    low: int
+    coords: tuple[int, ...]
+
+
+class GradedTSeries(_GradedFields):
     """Degree-0 series: one integer scalar per power of T.
 
     The V((T))|0 degree constraint is structural: the T^k slot holds the
     single scalar multiplying the degree-matching basis element.
     """
 
-    tag: Grading
-    low: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coords:
+    def __new__(cls, tag: Grading, low: int, coords: tuple[int, ...]):
+        self = super().__new__(cls, tag, low, coords)
+        if not coords:
             raise DomainError("a graded series stores at least one coordinate")
-        if self.tag is Grading.COH_H:
-            for k in range(self.low, self.order + 1):
+        if tag is Grading.COH_H:
+            for k in range(low, self.order + 1):
                 if k > 0 and self.coord(k) != 0:
                     raise DomainError("CohH series must be supported in degrees k <= 0")
+        return self
 
     @property
     def order(self) -> int:
@@ -278,8 +284,7 @@ def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
     return VerificationReport("prop1", order, checks)
 
 
-@dataclass(frozen=True)
-class BSeriesResult:
+class BSeriesResult(NamedTuple):
     """b expressed through c^-1: the series -T^-1 log(1 - xT) with x = c^-1."""
 
     series: TruncSeries  # over Q[x^±1], supported on x^1, x^2, ...
@@ -297,8 +302,7 @@ def b_series_from_c(order: int) -> BSeriesResult:
     return BSeriesResult(series=b_hat, exp_check_ok=check)
 
 
-@dataclass(frozen=True)
-class CSeriesResult:
+class CSeriesResult(NamedTuple):
     """c expressed through b: the reciprocal of (1 - e^(-bT))/T, with the sign
     of the matching Bernoulli form b^-1 B(-bT)."""
 

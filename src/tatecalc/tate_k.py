@@ -9,7 +9,7 @@ The quotient map mirrors the H-side boundary through the convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import power
 from .basis import NotIntegral, NumericalPoly, binom_ints, numerical_mul, to_binomial_basis
@@ -167,8 +167,7 @@ def tatek_div(a: TateKElem, b: TateKElem) -> TateKElem:
     return a * b.inverse()
 
 
-@dataclass(frozen=True)
-class PartialFractionForm:
+class PartialFractionForm(NamedTuple):
     """poly_part + sum_j pole_coeffs[j-1] * (1-q)^-j, an exact rewriting."""
 
     poly_part: LaurentPoly
@@ -385,8 +384,7 @@ def q_series(order: int) -> TruncSeries:
     return q_hat_inv_poly(order).inverse()
 
 
-@dataclass(frozen=True)
-class IntegralityEntry:
+class IntegralityEntry(NamedTuple):
     series: str                 # "q" or "beta*q"
     index: int                  # T-power
     value: str                  # rendered coefficient
@@ -407,8 +405,7 @@ class IntegralityEntry:
         return out
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     """Descriptive evidence on integrality of the q-series coefficients.
 
     Never a pass/fail verdict: each coefficient of q and beta*q is classified

@@ -11,7 +11,10 @@ import pytest
 
 import tatecalc
 from tatecalc import cli
+from tatecalc.basis import DividedPowerElem
 from tatecalc.cli import main
+from tatecalc.evaluator import EvalError, _EvalSeries
+from tatecalc.parser import parse
 
 
 def run(capsys, *argv):
@@ -212,6 +215,24 @@ def test_eval_order_zero_drops_the_higher_given_terms(capsys):
     code, out, err = run(capsys, "eval", "T", "--order", "0")
     assert (code, out) == (2, "")
     assert err.strip() == "error: order 0 below lowest exponent 1"
+
+
+@pytest.mark.parametrize("expr", ["geom(T)", "geom(exp(T))"])
+def test_a_series_where_a_coefficient_is_expected_names_the_operation(capsys, expr):
+    for extra in ((), ("--json",)):
+        assert run(capsys, "eval", expr, *extra) == (
+            2, "", "error: geom needs a coefficient, not a series in T\n")
+
+
+def test_scalar_multiplication_and_division_name_themselves_on_a_non_coefficient():
+    ev = _EvalSeries(4, parse("T"))
+    t, b = ev.symbol("T"), DividedPowerElem.basis(1)
+    for call, what in ((lambda: ev.mul(t, b), "scalar multiplication"),
+                       (lambda: ev.mul(b, t), "scalar multiplication"),
+                       (lambda: ev.div(t, b), "division")):
+        with pytest.raises(EvalError) as info:
+            call()
+        assert str(info.value) == f"{what} needs a coefficient, not DividedPowerElem"
 
 
 @pytest.mark.parametrize("expr,text", [
