@@ -130,6 +130,9 @@ class _IntBasisElem:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if isinstance(other, int):
             return type(self)({k: v * other for k, v in self.coords.items()})

@@ -25,11 +25,8 @@ from typing import Callable
 from . import expansions, tate_h, tate_k
 from .errors import TateCalcError
 from .evaluator import EvalError, evaluate, infer_mode, value_json
-from .parser import parse
+from .parser import names_used, parse
 from .verify import Q_INTEGRALITY_MAX_ORDER, SUITE_NAMES, run_suite
-
-_PUNCTURES = {"0": expansions.Puncture.ZERO, "1": expansions.Puncture.ONE,
-              "inf": expansions.Puncture.INFINITY}
 
 REPORT_NAMES = ("q-integrality", "corollary-sign", "expansion-sign")
 
@@ -99,9 +96,10 @@ def _print(render: Callable[[], str]) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
-    value = evaluate(expr, args.ring, args.order)
+    symbols, functions = names_used(expr)
+    mode = infer_mode(symbols, functions) if args.ring == "auto" else args.ring
+    value = evaluate(expr, mode, args.order, symbols)
     if args.json:
-        mode = args.ring if args.ring != "auto" else infer_mode(expr)
         _print(lambda: json.dumps({"expr": args.expr, "ring": mode, "order": args.order,
                                    "value": value_json(value), "text": str(value)}, indent=2))
     else:
@@ -123,7 +121,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     value = evaluate(expr, "tate_k", args.order)
     if not isinstance(value, tate_k.TateKElem):
         raise EvalError("expand needs an element of Z[q^±1, (1-q)^-1]")
-    puncture = _PUNCTURES[args.puncture]
+    puncture = expansions.Puncture(args.puncture)
     series = expansions.expand(value, puncture, args.order)
     if args.json:
         payload = {

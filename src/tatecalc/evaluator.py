@@ -9,18 +9,25 @@ the two sides of the theory:
 * series   -- truncated series in T whose coefficients live in a polynomial
               ring over the bare symbols used; cinv/qinv are primitive scale
               generators here, deliberately not inverses of anything.
+
+One tree walk serves all three: scalars (int, Fraction) meet scalars there,
+and every other operand goes to the context.  The two Tate contexts share one
+operator rule for unary -, +, -, *, and ^ (see `_EvalTate`); division is each
+ring's own.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import Collection
 
 from . import expansions, tate_h, tate_k
 from .basis import DividedPowerElem, NumericalPoly
 from .errors import DomainError, TateCalcError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
-from .parser import Bin, Call, Expr, Neg, Num, Pow, Sym, functions_used, symbols_used
+from .parser import Bin, Call, Expr, Neg, Num, Pow, Sym
 from .series import QQ, TruncSeries, bernoulli_number, geometric_series, poly_ring
 from .tate_k import TateKElem
 
@@ -36,16 +43,24 @@ _K_FUNCS = {"partial_fractions", "quotient", "adams", "expand"}
 _SERIES_FUNCS = {"exp", "log", "geom", "binomial_series", "bernoulli"}
 # canonical generator order for series-mode coefficient rings
 _GEN_ORDER = ("b", "beta", "c", "cinv", "q", "qinv", "u", "s")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# the puncture slot of expand(): 0, 1, or a local coordinate q/u/s (s = infinity)
+_PUNCTURE_SLOT = {Num(0): expansions.Puncture.ZERO, Sym("q"): expansions.Puncture.ZERO,
+                  Num(1): expansions.Puncture.ONE, Sym("u"): expansions.Puncture.ONE,
+                  Sym("s"): expansions.Puncture.INFINITY}
+
+# bernoulli(n) builds the generating series through T^n, about n^3 work: a
+# fresh process took 0.3 s at n = 256, 1.9 s at 512, 3.1 s at 600 and 22 s at
+# 1000 (CPython 3.11, 2-vCPU VM), so indices above 512 exit 2.
+BERNOULLI_MAX_INDEX = 512
 
 
-def infer_mode(expr: Expr) -> str:
-    syms = symbols_used(expr)
-    funcs = functions_used(expr)
-    series = bool(funcs & _SERIES_FUNCS) or "T" in syms or bool(syms & {"u", "s"})
-    h_marks = bool(syms & _H_SYMBOLS) or any(s.startswith("b_") for s in syms) or bool(funcs & _H_FUNCS)
-    k_marks = bool(syms & _K_SYMBOLS) or any(s.startswith("beta_") for s in syms) or bool(funcs & _K_FUNCS)
-    if series:
+def infer_mode(symbols: set[str], functions: set[str]) -> str:
+    """The ring context of an expression, from `parser.names_used`."""
+    if functions & _SERIES_FUNCS or symbols & {"T", "u", "s"}:
         return "series"
+    h_marks = bool(symbols & _H_SYMBOLS) or any(s.startswith("b_") for s in symbols) or bool(functions & _H_FUNCS)
+    k_marks = bool(symbols & _K_SYMBOLS) or any(s.startswith("beta_") for s in symbols) or bool(functions & _K_FUNCS)
     if h_marks and k_marks:
         raise EvalError("expression mixes H-side (c, b) and K-side (q, beta) symbols; pass --ring")
     if k_marks:
@@ -55,18 +70,21 @@ def infer_mode(expr: Expr) -> str:
     return "series"
 
 
-def evaluate(expr: Expr, mode: str = "auto", order: int = 8):
-    if mode == "auto":
-        mode = infer_mode(expr)
+def evaluate(expr: Expr, mode: str, order: int = 8, symbols: Collection[str] = ()):
+    """The value of `expr` in the context `mode` (tate_h, tate_k or series).
+
+    `symbols` are the expression's symbols (`parser.names_used`); series mode
+    builds its coefficient ring from them, the Tate contexts do not read them.
+    """
     if mode == "tate_h":
         return _EvalH(order).eval(expr)
     if mode == "tate_k":
         return _EvalK(order).eval(expr)
     if mode == "series":
-        if order == 0 and "T" in symbols_used(expr):
+        if order == 0 and "T" in symbols:
             # T needs order >= 1: work at order 1, then keep the T^0 term
-            return _order_zero(_EvalSeries(1, expr).eval(expr))
-        return _EvalSeries(order, expr).eval(expr)
+            return _order_zero(_EvalSeries(1, symbols).eval(expr))
+        return _EvalSeries(order, symbols).eval(expr)
     raise EvalError(f"unknown ring hint {mode!r}")
 
 
@@ -82,6 +100,12 @@ def _is_scalar(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
+def _scalar_div(a, b) -> Fraction:
+    if b == 0:
+        raise EvalError("division by zero")
+    return Fraction(a) / Fraction(b)
+
+
 def _scalar_pow(v, n: int):
     if n >= 0:
         return v**n
@@ -91,7 +115,8 @@ def _scalar_pow(v, n: int):
 
 
 class _EvalBase:
-    """Shared arithmetic dispatch; subclasses provide symbols and calls."""
+    """The tree walk.  A scalar meets a scalar here; an operation with any
+    other operand goes to the context's `neg`, `pow` or `binary`."""
 
     def __init__(self, order: int):
         self.order = order
@@ -102,59 +127,72 @@ class _EvalBase:
         if isinstance(e, Sym):
             return self.symbol(e.name)
         if isinstance(e, Neg):
-            return self.neg(self.eval(e.arg))
+            v = self.eval(e.arg)
+            return -v if _is_scalar(v) else self.neg(v)
         if isinstance(e, Pow):
-            return self.pow(self.eval(e.base), e.exponent)
+            v = self.eval(e.base)
+            return _scalar_pow(v, e.exponent) if _is_scalar(v) else self.pow(v, e.exponent)
         if isinstance(e, Bin):
-            left, right = self.eval(e.left), self.eval(e.right)
-            return {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div}[e.op](left, right)
+            a, b = self.eval(e.left), self.eval(e.right)
+            if _is_scalar(a) and _is_scalar(b):
+                return _scalar_div(a, b) if e.op == "/" else _ARITH[e.op](a, b)
+            return self.binary(e.op, a, b)
         if isinstance(e, Call):
             return self.call(e)
         raise EvalError(f"cannot evaluate node {e!r}")
 
+
+class _EvalTate(_EvalBase):
+    """The operator rule of both Tate contexts: a value of one of the
+    context's `kinds` meets an int or a value of its own type.  Anything else,
+    function results such as exp_bT() and partial_fractions(...) included, is
+    an EvalError.  Division is the ring's own `div`; a subclass also gives its
+    symbols, functions, and `lift`, how an int becomes an `element`."""
+
+    name: str
+    kinds: tuple[type, ...]
+    element: type
+    element_ring: str
+
     def neg(self, v):
+        self._admit("-", v)
         return -v
 
-    def add(self, a, b):
-        return self._arith("+", a, b)
-
-    def sub(self, a, b):
-        return self._arith("-", a, b)
-
-    def mul(self, a, b):
-        return self._arith("*", a, b)
-
-    def div(self, a, b):
-        raise NotImplementedError
-
     def pow(self, v, n: int):
-        return _scalar_pow(v, n) if _is_scalar(v) else v**n
+        self._admit("^", v, n)
+        return v**n
 
-    def symbol(self, name):
-        raise NotImplementedError
+    def binary(self, op: str, a, b):
+        if op == "/":
+            return self.div(a, b)
+        self._admit(op, a, b)
+        return _ARITH[op](a, b)
 
-    def call(self, e: Call):
-        raise NotImplementedError
+    def _admit(self, op: str, *operands) -> None:
+        kind, *more = {type(v) for v in operands if not isinstance(v, int)}
+        if more or kind not in self.kinds:
+            names = " and ".join(type(v).__name__ for v in operands)
+            raise EvalError(f"cannot apply {op!r} to {names} in {self.name}")
 
-    def _arith(self, op, a, b):
-        raise NotImplementedError
-
-
-def _dispatch_pair(op: str, a, b, same_kind, kinds: tuple[type, ...], what: str):
-    """Apply op within one value family, allowing int scalars on either side."""
-    fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
-    if _is_scalar(a) and _is_scalar(b):
-        return fn(a, b)
-    if isinstance(a, kinds) and isinstance(b, kinds) and same_kind(a, b):
-        return fn(a, b)
-    if isinstance(a, kinds) and isinstance(b, int):
-        return fn(a, b)
-    if isinstance(a, int) and isinstance(b, kinds):
-        return fn(a, b)
-    raise EvalError(f"cannot apply {op!r} to {type(a).__name__} and {type(b).__name__} in {what}")
+    def arg(self, e: Call, i: int = 0):
+        """Argument `i` of a call as an `element`; ints are lifted."""
+        v = self.eval(e.args[i])
+        if isinstance(v, int):
+            v = self.lift(v)
+        if not isinstance(v, self.element):
+            raise EvalError(f"{e.func} expects an element of {self.element_ring}")
+        return v
 
 
-class _EvalH(_EvalBase):
+class _EvalH(_EvalTate):
+    name = "tate_h"
+    kinds = (LaurentPoly, DividedPowerElem)
+    element, element_ring = LaurentPoly, "Z[c,c^-1]"
+
+    @staticmethod
+    def lift(n: int) -> LaurentPoly:
+        return LaurentPoly("c", {0: n})
+
     def symbol(self, name: str):
         if name == "c":
             return LaurentPoly("c", {1: 1})
@@ -166,15 +204,7 @@ class _EvalH(_EvalBase):
             return DividedPowerElem.basis(int(name.split("_")[1]))
         raise EvalError(f"symbol {name!r} is not available in the tate_h ring")
 
-    def _arith(self, op, a, b):
-        return _dispatch_pair(op, a, b, lambda x, y: type(x) is type(y),
-                              (LaurentPoly, DividedPowerElem), "tate_h")
-
     def div(self, a, b):
-        if _is_scalar(a) and _is_scalar(b):
-            if b == 0:
-                raise EvalError("division by zero")
-            return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else Fraction(a) / b
         if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
             return a.div_exact(b)
         if isinstance(a, LaurentPoly) and isinstance(b, int):
@@ -185,25 +215,25 @@ class _EvalH(_EvalBase):
 
     def call(self, e: Call):
         if e.func == "boundary":
-            return tate_h.boundary(self._laurent_arg(e, 0))
+            return tate_h.boundary(self.arg(e))
         if e.func == "pi_minus":
-            return tate_h.pi_minus(self._laurent_arg(e, 0))
+            return tate_h.pi_minus(self.arg(e))
         if e.func == "exp_bT":
             return tate_h.exp_bT(self.order)
         if e.func == "geom_cinv":
             return tate_h.geom_cinv(self.order)
         raise EvalError(f"function {e.func!r} is not available in the tate_h ring")
 
-    def _laurent_arg(self, e: Call, i: int) -> LaurentPoly:
-        v = self.eval(e.args[i])
-        if isinstance(v, int):
-            v = LaurentPoly("c", {0: v})
-        if not isinstance(v, LaurentPoly):
-            raise EvalError(f"{e.func} expects an element of Z[c,c^-1]")
-        return v
 
+class _EvalK(_EvalTate):
+    name = "tate_k"
+    kinds = (TateKElem, NumericalPoly)
+    element, element_ring = TateKElem, "Z[q^±1, (1-q)^-1]"
 
-class _EvalK(_EvalBase):
+    @staticmethod
+    def lift(n: int) -> TateKElem:
+        return TateKElem(LaurentPoly("q", {0: n}))
+
     def symbol(self, name: str):
         if name == "q":
             return TateKElem(LaurentPoly("q", {1: 1}))
@@ -215,33 +245,22 @@ class _EvalK(_EvalBase):
             return NumericalPoly.basis(int(name.split("_")[1]))
         raise EvalError(f"symbol {name!r} is not available in the tate_k ring")
 
-    def _arith(self, op, a, b):
-        return _dispatch_pair(op, a, b, lambda x, y: type(x) is type(y),
-                              (TateKElem, NumericalPoly), "tate_k")
-
     def div(self, a, b):
-        if _is_scalar(a) and _is_scalar(b):
-            if b == 0:
-                raise EvalError("division by zero")
-            return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else Fraction(a) / b
+        a, b = (self.lift(v) if isinstance(v, int) else v for v in (a, b))
         if isinstance(a, TateKElem) and isinstance(b, TateKElem):
             return tate_k.tatek_div(a, b)
-        if isinstance(a, int) and isinstance(b, TateKElem):
-            return tate_k.tatek_div(TateKElem(LaurentPoly("q", {0: a})), b)
-        if isinstance(a, TateKElem) and isinstance(b, int):
-            return tate_k.tatek_div(a, TateKElem(LaurentPoly("q", {0: b})))
         raise EvalError("division in tate_k requires unit divisors")
 
     def call(self, e: Call):
         if e.func == "partial_fractions":
-            return tate_k.partial_fractions(self._tatek_arg(e, 0))
+            return tate_k.partial_fractions(self.arg(e))
         if e.func == "quotient":
-            return tate_k.quotient_to_betas(self._tatek_arg(e, 0))
+            return tate_k.quotient_to_betas(self.arg(e))
         if e.func == "adams":
             k = self.eval(e.args[0])
             if not isinstance(k, int) or k < 1:
                 raise EvalError("adams expects a positive integer index")
-            x = self._tatek_arg(e, 1)
+            x = self.arg(e, 1)
             if not x.is_laurent():
                 raise EvalError(
                     "adams acts on Z[q^±1] here: psi^k((1-q)^-1) leaves the ring "
@@ -249,36 +268,18 @@ class _EvalK(_EvalBase):
                 )
             return TateKElem(tate_k.adams_on_laurent(k, x.num))
         if e.func == "expand":
-            x = self._tatek_arg(e, 0)
-            puncture = _puncture_from_expr(e.args[1])
+            x = self.arg(e)
+            puncture = _PUNCTURE_SLOT.get(e.args[1])
+            if puncture is None:
+                raise EvalError("expand puncture must be 0, 1, or a local coordinate q/u/s (s = infinity)")
             return expansions.expand(x, puncture, self.order)
         raise EvalError(f"function {e.func!r} is not available in the tate_k ring")
 
-    def _tatek_arg(self, e: Call, i: int) -> TateKElem:
-        v = self.eval(e.args[i])
-        if isinstance(v, int):
-            v = TateKElem(LaurentPoly("q", {0: v}))
-        if not isinstance(v, TateKElem):
-            raise EvalError(f"{e.func} expects an element of Z[q^±1, (1-q)^-1]")
-        return v
-
-
-def _puncture_from_expr(e: Expr) -> expansions.Puncture:
-    if isinstance(e, Num) and e.value in (0, 1):
-        return expansions.Puncture.ZERO if e.value == 0 else expansions.Puncture.ONE
-    if isinstance(e, Sym):
-        by_var = {"q": expansions.Puncture.ZERO, "u": expansions.Puncture.ONE,
-                  "s": expansions.Puncture.INFINITY}
-        if e.name in by_var:
-            return by_var[e.name]
-    raise EvalError("expand puncture must be 0, 1, or a local coordinate q/u/s (s = infinity)")
-
 
 class _EvalSeries(_EvalBase):
-    def __init__(self, order: int, root: Expr):
+    def __init__(self, order: int, symbols: Collection[str]):
         super().__init__(order)
-        used = symbols_used(root) - {"T"}
-        self.gens = tuple(g for g in _GEN_ORDER if g in used)
+        self.gens = tuple(g for g in _GEN_ORDER if g in symbols)
         self.ring = poly_ring(*self.gens) if self.gens else QQ
 
     def _const(self, value):
@@ -300,20 +301,6 @@ class _EvalSeries(_EvalBase):
             v = self._const(v)
         return TruncSeries.constant(self.ring, v, self.order)
 
-    def _arith(self, op, a, b):
-        fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
-        if isinstance(a, TruncSeries) or isinstance(b, TruncSeries):
-            if op == "*" and not isinstance(b, TruncSeries):
-                return a.scalar_mul(self._coeff(b, "scalar multiplication"))
-            if op == "*" and not isinstance(a, TruncSeries):
-                return b.scalar_mul(self._coeff(a, "scalar multiplication"))
-            return fn(self._promote(a), self._promote(b))
-        if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-            a = a if isinstance(a, MultiPoly) else self._const(a)
-            b = b if isinstance(b, MultiPoly) else self._const(b)
-            return fn(a, b)
-        return fn(a, b)
-
     def _coeff(self, v, what: str):
         """Coerce to a coefficient-ring element; `what` names the operation
         that needs one."""
@@ -324,6 +311,28 @@ class _EvalSeries(_EvalBase):
         got = "a series in T" if isinstance(v, TruncSeries) else type(v).__name__
         raise EvalError(f"{what} needs a coefficient, not {got}")
 
+    def neg(self, v):
+        return -v
+
+    def pow(self, v, n: int):
+        if isinstance(v, MultiPoly) and n < 0:
+            raise EvalError("polynomial generators have no negative powers in series mode")
+        return v**n
+
+    def binary(self, op: str, a, b):
+        if op == "/":
+            return self.div(a, b)
+        if not isinstance(a, TruncSeries) and not isinstance(b, TruncSeries):
+            return _ARITH[op](a, b)  # MultiPoly takes ints and Fractions itself
+        if op == "*":
+            s, v = (a, b) if isinstance(a, TruncSeries) else (b, a)
+            if isinstance(v, int):  # lifted through the series' own ring
+                return s.scalar_mul(v)
+            if not isinstance(v, TruncSeries) and s.ring.name == self.ring.name:
+                return s.scalar_mul(self._coeff(v, "scalar multiplication"))
+        # a series over another ring (binomial_series()) meets a RingMismatchError here
+        return _ARITH[op](self._promote(a), self._promote(b))
+
     def div(self, a, b):
         if isinstance(a, TruncSeries) and isinstance(b, TruncSeries):
             return a.div_exact(b)
@@ -331,24 +340,8 @@ class _EvalSeries(_EvalBase):
             return a.div_exact(TruncSeries.constant(self.ring, self._coeff(b, "division"), a.order))
         if isinstance(b, TruncSeries):
             return self._promote(a).div_exact(b)
-        if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-            a = a if isinstance(a, MultiPoly) else self._const(a)
-            b = b if isinstance(b, MultiPoly) else self._const(b)
-            if isinstance(b, MultiPoly):
-                return a.div_exact(b)
-            return a * (Fraction(1) / Fraction(b))
-        if b == 0:
-            raise EvalError("division by zero")
-        return Fraction(a) / Fraction(b)
-
-    def pow(self, v, n: int):
-        if isinstance(v, TruncSeries):
-            return v**n
-        if isinstance(v, MultiPoly):
-            if n < 0:
-                raise EvalError("polynomial generators have no negative powers in series mode")
-            return v**n
-        return _scalar_pow(v, n)
+        # a scalar divisor becomes a constant, so b/0 divides by the zero polynomial
+        return self._coeff(a, "division").div_exact(self._coeff(b, "division"))
 
     def call(self, e: Call):
         if e.func == "exp":
@@ -364,6 +357,8 @@ class _EvalSeries(_EvalBase):
             n = self.eval(e.args[0])
             if not isinstance(n, int) or n < 0:
                 raise EvalError("bernoulli expects a non-negative integer index")
+            if n > BERNOULLI_MAX_INDEX:
+                raise EvalError(f"index {n} is above the bernoulli bound {BERNOULLI_MAX_INDEX}")
             return bernoulli_number(n)
         raise EvalError(f"function {e.func!r} is not available in series mode")
 

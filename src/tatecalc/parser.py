@@ -269,86 +269,27 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-# -- pretty printer ----------------------------------------------------------------
+def names_used(e: Expr) -> tuple[set[str], set[str]]:
+    """(symbols, functions) named in the tree.  The puncture slot of expand()
+    adds no symbol, but functions in it still count."""
+    symbols: set[str] = set()
+    functions: set[str] = set()
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def render(e: Expr) -> str:
-    text, _ = _render(e)
-    return text
-
-
-def _render(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Num):
-        return str(e.value), 5
-    if isinstance(e, Sym):
-        return e.name, 5
-    if isinstance(e, Neg):
-        inner, prec = _render(e.arg)
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    if isinstance(e, Pow):
-        base, prec = _render(e.base)
-        # the grammar allows one exponent per factor, so nested bases need parens
-        if prec < _PREC["^"] or isinstance(e.base, (Bin, Neg, Pow)):
-            base = f"({base})"
-        return f"{base}^{e.exponent}", _PREC["^"]
-    if isinstance(e, Bin):
-        my = _PREC[e.op]
-        left, lp = _render(e.left)
-        right, rp = _render(e.right)
-        if lp < my:
-            left = f"({left})"
-        # right side needs parens at equal precedence for - and /
-        if rp < my or (rp == my and e.op in "-/"):
-            right = f"({right})"
-        return f"{left} {e.op} {right}", my
-    if isinstance(e, Call):
-        args = ", ".join(render(a) for a in e.args)
-        return f"{e.func}({args})", 5
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def symbols_used(e: Expr) -> set[str]:
-    """All symbol names in the tree, skipping the puncture slot of expand()."""
-    out: set[str] = set()
-
-    def walk(node: Expr) -> None:
+    def walk(node: Expr, into: set[str]) -> None:
         if isinstance(node, Sym):
-            out.add(node.name)
+            into.add(node.name)
         elif isinstance(node, Neg):
-            walk(node.arg)
+            walk(node.arg, into)
         elif isinstance(node, Pow):
-            walk(node.base)
+            walk(node.base, into)
         elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
+            walk(node.left, into)
+            walk(node.right, into)
         elif isinstance(node, Call):
-            args = node.args[:-1] if node.func == "expand" and node.args else node.args
-            for a in args:
-                walk(a)
+            functions.add(node.func)
+            for i, a in enumerate(node.args):
+                puncture = node.func == "expand" and i == len(node.args) - 1
+                walk(a, set() if puncture else into)
 
-    walk(e)
-    return out
-
-
-def functions_used(e: Expr) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            out.add(node.func)
-            for a in node.args:
-                walk(a)
-
-    walk(e)
-    return out
+    walk(e, symbols)
+    return symbols, functions

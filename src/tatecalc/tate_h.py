@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .basis import DividedPowerElem
 from .errors import DomainError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, render_terms
 from .report import Check, VerificationReport
 from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring
 
@@ -143,27 +143,14 @@ class GradedTSeries(_GradedFields):
         return out
 
     def __str__(self) -> str:
-        if self.tag is Grading.HOM_H:
-            basis = lambda k: "1" if k == 0 else f"b_{k}"
-        else:
-            basis = lambda k: "1" if k == 0 else f"c^{-k}"
-        parts = []
-        for k in range(self.low, self.order + 1):
-            v = self.coord(k)
-            if v == 0:
-                continue
-            body = basis(k)
-            if abs(v) != 1:
-                body = f"{abs(v)}*{body}" if body != "1" else str(abs(v))
-            if k != 0:
-                tpow = "T" if k == 1 else f"T^{k}"
-                body = tpow if body == "1" else f"{body} {tpow}"
-            if parts:
-                parts.append(" - " if v < 0 else " + ")
-            elif v < 0:
-                parts.append("-")
-            parts.append(body)
-        return "".join(parts) if parts else "0"
+        """Each nonzero coordinate times its basis label and power of T."""
+        def mono(k: int) -> str:
+            if k == 0:
+                return ""
+            label = f"b_{k}" if self.tag is Grading.HOM_H else f"c^{-k}"
+            return f"{label} {'T' if k == 1 else f'T^{k}'}"
+
+        return render_terms([(k, v) for k, v in enumerate(self.coords, self.low) if v], mono)
 
     def to_json(self) -> dict:
         return {

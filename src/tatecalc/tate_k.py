@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .arith import power
 from .basis import NotIntegral, NumericalPoly, binom_ints, numerical_mul, to_binomial_basis
 from .errors import DomainError, NotInvertibleError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, render_terms, var_power
 from .multipoly import RationalFunction
 from .report import Check, VerificationReport
 from .series import ZZ, TruncSeries, geometric_series, laurent_coeff_ring, numerical_ring
@@ -180,24 +180,11 @@ class PartialFractionForm(NamedTuple):
         return total
 
     def __str__(self) -> str:
-        parts = []
-        if not self.poly_part.is_zero():
-            parts.append(str(self.poly_part))
-        for j, a in enumerate(self.pole_coeffs, start=1):
-            if a == 0:
-                continue
-            body = f"(1-q)^-{j}"
-            if a == -1:
-                body = f"-{body}"
-            elif a != 1:
-                body = f"{a}*{body}"
-            parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        """The Laurent terms, then each nonzero a*(1-q)^-j."""
+        q = self.poly_part.var
+        terms = [(var_power(q, e), v) for e, v in sorted(self.poly_part.coeffs.items())]
+        terms += [(f"(1-q)^-{j}", a) for j, a in enumerate(self.pole_coeffs, start=1) if a]
+        return render_terms(terms, str)  # the keys are the monomials
 
     def to_json(self) -> dict:
         return {"polyPart": self.poly_part.to_json(), "poleCoeffs": list(self.pole_coeffs)}

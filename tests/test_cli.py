@@ -14,7 +14,6 @@ from tatecalc import cli
 from tatecalc.basis import DividedPowerElem
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
-from tatecalc.parser import parse
 
 
 def run(capsys, *argv):
@@ -208,6 +207,40 @@ def test_verify_refuses_prop2_above_its_bound(capsys, suite):
     assert err.strip() == "error: order 1000 is above the prop2 bound 256"
 
 
+@pytest.mark.parametrize("expr,text", [
+    # an int minus an integer-basis element
+    ("1 - b_1", "1 - b_1"),
+    ("2 - beta_1", "2 - binom(beta,1)"),
+    ("1 - boundary(cinv^3)", "1 - b_2"),
+    ("1 - boundary(cinv)", "0"),
+    # an int factor lifts through the series' own ring, here Z[beta_*]
+    ("2*binomial_series()", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
+    ("binomial_series()*2", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
+    ("bernoulli(12)", "-691/2730"),
+])
+def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
+    assert run(capsys, "eval", expr, "--order", "3") == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("expr,err", [
+    # function results are final values in the Tate contexts
+    ("(-exp_bT())", "cannot apply '-' to GradedTSeries in tate_h"),
+    ("geom_cinv()^4", "cannot apply '^' to GradedTSeries and int in tate_h"),
+    ("(-partial_fractions(4))", "cannot apply '-' to PartialFractionForm in tate_k"),
+    ("partial_fractions(4)^-2", "cannot apply '^' to PartialFractionForm and int in tate_k"),
+    ("(-expand(q, 0))", "cannot apply '-' to TruncSeries in tate_k"),
+    ("exp_bT() + 1", "cannot apply '+' to GradedTSeries and int in tate_h"),
+    # a non-int coefficient of a series over another ring
+    ("binomial_series()*(1/2)", "cannot combine series over Z[beta_*] and QQ"),
+    ("binomial_series()*beta", "cannot combine series over Z[beta_*] and QQ[beta]"),
+    # refused before any work
+    ("bernoulli(625)", "index 625 is above the bernoulli bound 512"),
+])
+def test_eval_typed_errors_where_type_errors_or_long_runs_were(capsys, expr, err):
+    for extra in ((), ("--json",)):
+        assert run(capsys, "eval", expr, *extra) == (2, "", f"error: {err}\n")
+
+
 def test_eval_order_zero_drops_the_higher_given_terms(capsys):
     # 1 - q T is built with order 0 before inverting, so its T term is dropped
     code, out, err = run(capsys, "eval", "geom(q)", "--order", "0")
@@ -225,10 +258,10 @@ def test_a_series_where_a_coefficient_is_expected_names_the_operation(capsys, ex
 
 
 def test_scalar_multiplication_and_division_name_themselves_on_a_non_coefficient():
-    ev = _EvalSeries(4, parse("T"))
+    ev = _EvalSeries(4, {"T"})
     t, b = ev.symbol("T"), DividedPowerElem.basis(1)
-    for call, what in ((lambda: ev.mul(t, b), "scalar multiplication"),
-                       (lambda: ev.mul(b, t), "scalar multiplication"),
+    for call, what in ((lambda: ev.binary("*", t, b), "scalar multiplication"),
+                       (lambda: ev.binary("*", b, t), "scalar multiplication"),
                        (lambda: ev.div(t, b), "division")):
         with pytest.raises(EvalError) as info:
             call()

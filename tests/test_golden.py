@@ -38,6 +38,12 @@ CASES = [
     ("eval_numerical_product.json", ["eval", "beta_3*beta_5", "--json"], 0),
     ("eval_quotient_betas.txt", ["eval", "quotient((q^2 - 3)*(1-q)^-4)"], 0),
     ("eval_boundary_cube.json", ["eval", "boundary((cinv + 2*c)^3)", "--json"], 0),
+    # graded series and partial fractions print through their own renderers
+    ("eval_exp_bT_o6.txt", ["eval", "exp_bT()", "--order", "6"], 0),
+    ("eval_geom_cinv_o6.txt", ["eval", "geom_cinv()", "--order", "6"], 0),
+    ("eval_partial_fractions.txt", ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)"], 0),
+    ("eval_partial_fractions.json",
+     ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)", "--json"], 0),
     ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"], 0),
     ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"], 0),
     ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"], 0),

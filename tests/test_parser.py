@@ -1,4 +1,5 @@
-"""Grammar, machine-readable errors, and pretty-printer round trips."""
+"""Grammar, machine-readable errors, the names an expression uses, and
+round trips through a pretty-printer kept here as the parser's inverse."""
 
 import pytest
 
@@ -13,8 +14,8 @@ from tatecalc.parser import (
     Pow,
     Sym,
     UnknownNameError,
+    names_used,
     parse,
-    render,
 )
 
 
@@ -114,7 +115,60 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
+# A minimal-parenthesis printer, the inverse the round trip checks the parser
+# against: precedence, left associativity and signed exponents must all come
+# back as the same tree.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def render(e):
+    text, _ = _render(e)
+    return text
+
+
+def _render(e):
+    if isinstance(e, Num):
+        return str(e.value), 5
+    if isinstance(e, Sym):
+        return e.name, 5
+    if isinstance(e, Neg):
+        inner, prec = _render(e.arg)
+        if prec < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}", _PREC["neg"]
+    if isinstance(e, Pow):
+        base, prec = _render(e.base)
+        # the grammar allows one exponent per factor, so nested bases need parens
+        if prec < _PREC["^"] or isinstance(e.base, (Bin, Neg, Pow)):
+            base = f"({base})"
+        return f"{base}^{e.exponent}", _PREC["^"]
+    if isinstance(e, Bin):
+        my = _PREC[e.op]
+        left, lp = _render(e.left)
+        right, rp = _render(e.right)
+        if lp < my:
+            left = f"({left})"
+        # right side needs parens at equal precedence for - and /
+        if rp < my or (rp == my and e.op in "-/"):
+            right = f"({right})"
+        return f"{left} {e.op} {right}", my
+    args = ", ".join(render(a) for a in e.args)
+    return f"{e.func}({args})", 5
+
+
 @pytest.mark.parametrize("source", ROUND_TRIP_CORPUS)
 def test_render_parse_round_trip(source):
     tree = parse(source)
     assert parse(render(tree)) == tree
+
+
+@pytest.mark.parametrize("source,symbols,functions", [
+    ("b_2*b_3 - 3*b", {"b_2", "b_3", "b"}, set()),
+    ("exp(b*T)*geom(cinv)", {"b", "T", "cinv"}, {"exp", "geom"}),
+    # the puncture slot adds no symbol, but a function in it still counts
+    ("expand(qinv, s)", {"qinv"}, {"expand"}),
+    ("expand(q, exp_bT())", {"q"}, {"expand", "exp_bT"}),
+    ("-(2 + 3)^-1", set(), set()),
+])
+def test_names_used(source, symbols, functions):
+    assert names_used(parse(source)) == (symbols, functions)

@@ -3,7 +3,8 @@
 Each case gives a strategy for elements, the ring's zero and one, and its
 exact division by a nonzero integer: the two integer-basis types directly,
 and each `Ring` factory through its descriptor.  The laws are the commutative
-ring axioms plus the round trip (x * n) / n == x.
+ring axioms, n - x == -(x - n) for an int n, and the round trip
+(x * n) / n == x.
 """
 
 import pytest
@@ -91,6 +92,14 @@ def test_zero_and_one_are_identities(case, data):
     assert a - a == zero
     assert a * one == a
     assert a * zero == zero
+
+
+@cases
+@LAWS
+@given(data=st.data(), n=st.integers(-9, 9))
+def test_an_integer_minus_an_element_negates_the_difference(case, data, n):
+    (a,) = _elements(data, case, 1)
+    assert n - a == -(a - n)
 
 
 @cases

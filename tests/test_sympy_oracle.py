@@ -3,8 +3,10 @@
 sympy is a test-only dependency (skipped where it is missing) and shares no
 code with the engine: each series below is expanded by sympy from its
 closed form and compared coefficient by coefficient, as exact rationals,
-with the engine's series through T^10.  The exp, log and inverse kernels and
-the binomial-basis conversion are checked on seeded random inputs.
+with the engine's series through T^10; the q-series, whose coefficients have
+beta in the denominator, is compared at beta = 1..11.  The exp, log and
+inverse kernels and the binomial-basis conversion are checked on seeded
+random inputs.
 """
 
 import random
@@ -47,6 +49,24 @@ def test_q_hat_inv_matches_sympy():
     # (1 - (1+T)^-beta)/T
     engine = tate_k.q_hat_inv_poly(ORDER)
     assert engine_coeffs(engine) == sympy_coeffs((1 - (1 + T) ** (-beta)) / T, beta)
+
+
+@pytest.fixture(scope="module")
+def q_series_engine():
+    return tate_k.q_series(ORDER)
+
+
+@pytest.mark.parametrize("m", range(1, ORDER + 2))
+def test_q_series_at_beta_m_matches_sympy(q_series_engine, m):
+    # q = T/(1 - (1+T)^-beta).  beta*q_k is a polynomial in beta of degree at
+    # most k <= ORDER, so once the engine's coefficients have that shape, the
+    # ORDER + 1 points beta = 1..ORDER+1 decide each of them.
+    assert all(0 <= e + 1 <= k for k in range(ORDER + 1)
+               for e in q_series_engine.coeff(k).coeffs)
+    engine = [sum(Fraction(v) * Fraction(m) ** e for e, v in q_series_engine.coeff(k).coeffs.items())
+              for k in range(ORDER + 1)]
+    series = sp.series(T / (1 - (1 + T) ** (-m)), T, 0, ORDER + 1).removeO()
+    assert engine == [Fraction(int(c.p), int(c.q)) for c in (series.coeff(T, k) for k in range(ORDER + 1))]
 
 
 def test_b_series_matches_sympy():

@@ -115,6 +115,17 @@ def test_exp_bT_and_geom_cinv_coordinates():
     assert str(e) == "1 + b_1 T + b_2 T^2 + b_3 T^3"
 
 
+@pytest.mark.parametrize("tag,low,coords,text", [
+    (Grading.TATE_H, -1, (2, -1, 0, -3), "2*c^1 T^-1 - 1 - 3*c^-2 T^2"),
+    (Grading.TATE_H, -2, (-7, 1, -1, 1), "-7*c^2 T^-2 + c^1 T^-1 - 1 + c^-1 T"),
+    (Grading.HOM_H, -1, (2, -1, 0, -3), "2*b_-1 T^-1 - 1 - 3*b_2 T^2"),
+    (Grading.HOM_H, 0, (-1, 1, 0, 5), "-1 + b_1 T + 5*b_3 T^3"),
+    (Grading.TATE_H, 0, (0, 0), "0"),
+])
+def test_graded_series_text(tag, low, coords, text):
+    assert str(GradedTSeries(tag, low, coords)) == text
+
+
 def test_cohomological_support_constraint():
     GradedTSeries(Grading.COH_H, -3, (1, 2, 0, 5))  # support k <= 0 is fine
     with pytest.raises(DomainError):

@@ -101,6 +101,16 @@ def test_partial_fraction_examples():
     assert pf.poly_part == q_poly({3: 1}) and pf.pole_coeffs == ()
 
 
+@pytest.mark.parametrize("poly,poles,text", [
+    ({}, (-1, 0, 2, 1), "-(1-q)^-1 + 2*(1-q)^-3 + (1-q)^-4"),
+    ({-1: -2, 3: 1}, (-1, -4), "-2*q^-1 + q^3 - (1-q)^-1 - 4*(1-q)^-2"),
+    ({0: -1}, (1,), "-1 + (1-q)^-1"),
+    ({}, (0, 0), "0"),
+])
+def test_partial_fraction_text(poly, poles, text):
+    assert str(tate_k.PartialFractionForm(q_poly(poly), poles)) == text
+
+
 def test_partial_fraction_reconstruction_random():
     rng = random.Random(22)
     for _ in range(200):
