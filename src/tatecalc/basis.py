@@ -60,6 +60,17 @@ def binom_ints(m: int, n: int) -> list[int]:
     return out
 
 
+def stirling1_rows(n: int) -> list[list[int]]:
+    """Rows 0..n of the signed Stirling numbers of the first kind, rows[j][m] =
+    s(j, m) for m <= j: x (x-1) ... (x-j+1) = sum_m s(j, m) x^m.  Built by the
+    recurrence s(j+1, m) = s(j, m-1) - j s(j, m)."""
+    rows = [[1]]
+    for j in range(n):
+        prev = rows[-1]
+        rows.append([a - j * b for a, b in zip([0, *prev], [*prev, 0])])
+    return rows
+
+
 class _IntBasisElem:
     """Z-linear combination of a basis e_0 = 1, e_1, e_2, ... with integer
     coordinates.

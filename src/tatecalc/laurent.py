@@ -21,7 +21,7 @@ from math import lcm
 from typing import Callable, Mapping
 
 from .arith import power
-from .errors import InexactDivisionError, NotInvertibleError, VariableMismatchError
+from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
 
 Scalar = int | Fraction
 
@@ -243,6 +243,16 @@ class LaurentPoly:
         return out
 
 
+# The dense list of a sum of products holds one slot per exponent from its
+# lowest to its highest, so a far exponent costs memory in proportion:
+# (1+q^4000000)*(1+q) took 0.26 s and 45 MB in a fresh process (CPython 3.11,
+# 2-vCPU VM), and q^1000000000 in place of q^4000000 would ask for about 8 GB.
+# `verify all` up to order 256 and the benchmark's interactive stream reach a
+# span of at most 649, so a sum spanning more than MAX_SPAN (2^22) exponents
+# is refused with a DomainError before its list is allocated.
+MAX_SPAN = 1 << 22
+
+
 class DenseAccumulator:
     """A sum of products x*y of Laurent polynomials in one variable, fraction-free.
 
@@ -250,7 +260,8 @@ class DenseAccumulator:
     lo + i, over one common denominator, read from each factor's cached
     `_int_form`; `value` normalises it once, however many products went into
     it.  A product's denominator joins the common one by lcm only when it
-    does not divide it already.
+    does not divide it already.  A sum spanning more than MAX_SPAN exponents
+    is refused.
     """
 
     __slots__ = ("var", "lo", "nums", "den")
@@ -275,18 +286,23 @@ class DenseAccumulator:
             self.den = den = common
         f = den // d
         lo = xs[0][0] + ys[0][0]
-        size = xs[-1][0] + ys[-1][0] - lo + 1
+        hi = xs[-1][0] + ys[-1][0]
         nums = self.nums
+        if nums:
+            lo, hi = min(lo, self.lo), max(hi, self.lo + len(nums) - 1)
+        if hi - lo >= MAX_SPAN:
+            raise DomainError(
+                f"a product over {self.var}^{lo}..{self.var}^{hi} spans more than {MAX_SPAN} exponents"
+            )
         if not nums:
             self.lo = lo
-            nums = self.nums = [0] * size
+            nums = self.nums = [0] * (hi - lo + 1)
         else:
             if lo < self.lo:
                 nums[:0] = [0] * (self.lo - lo)
                 self.lo = lo
-            size += lo - self.lo
-            if size > len(nums):
-                nums.extend([0] * (size - len(nums)))
+            if hi - lo + 1 > len(nums):
+                nums.extend([0] * (hi - lo + 1 - len(nums)))
         if len(xs) > len(ys):
             xs, ys = ys, xs
         base = -self.lo

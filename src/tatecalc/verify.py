@@ -13,7 +13,7 @@ corollary runs at 4..32, cartier at bi-order up to (12,12), expansions at
 sits at or above every order the acceptance criteria pin.  prop2 runs at the
 requested order, so orders above PROP2_MAX_ORDER (256, a few seconds) are
 refused with a typed error before any suite runs.  The CLI refuses `report
-q-integrality` above Q_INTEGRALITY_MAX_ORDER (128) the same way.
+q-integrality` above Q_INTEGRALITY_MAX_ORDER (192) the same way.
 """
 
 from __future__ import annotations
@@ -298,11 +298,12 @@ _CAPS = {
 # `prop2` and `all` exit 2 instead of running for ever longer.
 PROP2_MAX_ORDER = 256
 
-# `report q-integrality` inverts the q^-1 series over Q[beta^±1], whose
-# coefficients grow with the order, and converts every coefficient to the
-# binomial basis.  It took 0.4 s at order 64, 3.5 s at 128 and 25 s at 200 in
-# a fresh process (CPython 3.11, 2-vCPU VM), so above 128 it exits 2.
-Q_INTEGRALITY_MAX_ORDER = 128
+# `report q-integrality` builds the q-series in closed form (O(order^2)
+# rationals whose size grows with the order), converts every beta*q
+# coefficient to the binomial basis, and prints about 12 MB at order 192.  It
+# took 0.5 s at order 128, 1.7 s at 192 and 2.5 s at 224 in a fresh process
+# (CPython 3.11, 2-vCPU VM), so above 192 it exits 2.
+Q_INTEGRALITY_MAX_ORDER = 192
 
 
 def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> VerificationReport:

@@ -235,6 +235,11 @@ def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
     ("binomial_series()*beta", "cannot combine series over Z[beta_*] and QQ[beta]"),
     # refused before any work
     ("bernoulli(625)", "index 625 is above the bernoulli bound 512"),
+    # a dense product over a billion exponents, about 8 GB
+    ("(1+q^1000000000)*(1+q)", "a product over q^0..q^1000000001 spans more than 4194304 exponents"),
+    ("adams(1000000000, 1+q)*q", "a product over q^1..q^1000000001 spans more than 4194304 exponents"),
+    # an expansion a million terms below its order
+    ("expand(adams(1000000, qinv), 0)", "the expansion would start at q^-1000000, below the bound q^-4096"),
 ])
 def test_eval_typed_errors_where_type_errors_or_long_runs_were(capsys, expr, err):
     for extra in ((), ("--json",)):
@@ -342,11 +347,25 @@ def test_report_q_integrality_rejects_negative_order(capsys):
 
 def test_report_q_integrality_refuses_orders_above_its_bound(capsys):
     # refused before the q-series is built, so this returns at once
-    code, out, err = run(capsys, "report", "q-integrality", "--order", "129")
+    code, out, err = run(capsys, "report", "q-integrality", "--order", "193")
     assert code == 2
     assert out == ""
-    assert err.strip() == "error: order 129 is above the q-integrality bound 128"
+    assert err.strip() == "error: order 193 is above the q-integrality bound 192"
     assert run(capsys, "report", "q-integrality", "--order", "1000", "--json")[:2] == (2, "")
+
+
+@pytest.mark.parametrize("elem,at,low", [
+    ("q^-300000", "0", "q^-300000"),
+    ("(1-q)^-5000", "1", "u^-5000"),
+    ("q^16384", "inf", "s^-16384"),
+])
+def test_expand_refuses_a_start_far_below_t0(capsys, elem, at, low):
+    # refused before any coefficient is computed: q^-300000 at 0 took 0.2 s and
+    # 38 MB to print one term, q^16384 at infinity 1.3 s and 55 MB before the
+    # 4300-digit print limit refused it
+    for extra in ((), ("--json",)):
+        assert run(capsys, "expand", elem, "--at", at, "--order", "0", *extra) == (
+            2, "", f"error: the expansion would start at {low}, below the bound {low[0]}^-4096\n")
 
 
 def test_report_signs(capsys):

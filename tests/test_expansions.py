@@ -170,3 +170,25 @@ def test_adams_insufficient_order_is_typed():
         ex.adams_on_series(3, g, 9)
     with pytest.raises(DomainError):
         ex.adams_on_series(0, g, 2)
+
+
+def _q(coeffs):
+    return LaurentPoly("q", coeffs)
+
+
+# per puncture, an element whose expansion starts at t^-5 and one at t^-6
+_DEPTH_CASES = {
+    ex.Puncture.ZERO: (TateKElem(_q({-5: 1, 2: 3})), TateKElem(_q({-6: 1, 2: 3}))),
+    ex.Puncture.ONE: (TateKElem(_q({0: 1, 1: 1}), 5), TateKElem(_q({0: 1, 1: 1}), 6)),
+    ex.Puncture.INFINITY: (TateKElem(_q({0: 2, 6: 1}), 1), TateKElem(_q({0: 2, 7: 1}), 1)),
+}
+
+
+@pytest.mark.parametrize("puncture", list(ex.Puncture))
+def test_an_expansion_starting_below_the_bound_is_refused(monkeypatch, puncture):
+    monkeypatch.setattr(ex, "MAX_DEPTH", 5)
+    at_bound, below = _DEPTH_CASES[puncture]
+    s = ex.expand(at_bound, puncture, 3)
+    assert s.low == -5 and s.coeff(-5) != 0
+    with pytest.raises(DomainError, match="would start at .\\^-6, below the bound"):
+        ex.expand(below, puncture, 3)

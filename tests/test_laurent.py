@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tatecalc.errors import InexactDivisionError, NotInvertibleError, VariableMismatchError
+from tatecalc import laurent
+from tatecalc.errors import (
+    DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError,
+)
 from tatecalc.laurent import LaurentPoly
 
 
@@ -123,6 +126,21 @@ def test_division_by_a_non_unit_monomial_over_the_integers_is_refused():
         lp("q", {1: 1}).div_exact(lp("q", {1: 2}))
     assert lp("q", {1: 1}).div_exact(lp("q", {1: 2}), over_integers=False) == lp(
         "q", {0: Fraction(1, 2)})
+
+
+def test_a_sum_of_products_spanning_more_than_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(laurent, "MAX_SPAN", 10)
+    x = LaurentPoly("q", {-3: 1, 5: 2})
+    assert x * LaurentPoly("q", {0: 1, 1: 1}) == LaurentPoly("q", {-3: 1, -2: 1, 5: 2, 6: 2})
+    with pytest.raises(DomainError, match="q\\^-3..q\\^7 spans more than 10 exponents"):
+        x * LaurentPoly("q", {0: 1, 2: 1})
+    # the span counts the whole sum, not each product alone
+    acc = LaurentPoly.accumulator("q")
+    acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {-5: 1}))
+    acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {4: 1}))
+    with pytest.raises(DomainError):
+        acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {5: 1}))
+    assert acc.value() == LaurentPoly("q", {-5: 1, 4: 1})
 
 
 def test_dilation():

@@ -7,11 +7,11 @@ independently of the numerical-polynomial multiplication it certifies.
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
-from tatecalc.basis import NumericalPoly, binom_ints
+from tatecalc.basis import NumericalPoly, binom_ints, stirling1_rows
 from tatecalc.errors import DomainError, NotInvertibleError
 from tatecalc.laurent import LaurentPoly
 from tatecalc.series import TruncSeries
@@ -301,6 +301,36 @@ def test_binom_ints_matches_comb():
         assert binom_ints(m, 14) == [comb(m, k) for k in range(15)]
     for m in range(1, 12):
         assert binom_ints(-m, 14) == [(-1) ** k * comb(m + k - 1, k) for k in range(15)]
+
+
+def test_stirling_rows_follow_their_recurrence_and_count_permutations():
+    rows = stirling1_rows(40)
+    assert [len(r) for r in rows] == list(range(1, 42))
+    assert rows[4] == [0, -6, 11, -6, 1]
+    for n in range(40):
+        ext = [*rows[n], 0]
+        assert rows[n + 1] == [(ext[m - 1] if m else 0) - n * ext[m] for m in range(n + 2)]
+    for n, row in enumerate(rows):
+        assert sum(abs(s) for s in row) == factorial(n)
+
+
+def test_stirling_rows_expand_the_falling_factorial():
+    rows = stirling1_rows(12)
+    for n, row in enumerate(rows):
+        for x in range(-5, 15):
+            assert sum(s * x**m for m, s in enumerate(row)) == prod(x - i for i in range(n))
+
+
+def test_q_series_matches_the_series_inverse_at_every_order_to_64():
+    # the Q[beta^±1] inverse that defines q is the oracle; an inverse through
+    # T^n reads only the first n+1 coefficients, so its order-64 result
+    # truncated to n is the order-n inverse (the kernel's truncation
+    # consistency, tested in test_series.py), checked outright at a few orders
+    oracle = tate_k.q_hat_inv_poly(64).inverse()
+    for n in range(65):
+        assert tate_k.q_series(n) == oracle.truncated(n), n
+    for n in (0, 1, 2, 3, 17, 40):
+        assert tate_k.q_series(n) == tate_k.q_hat_inv_poly(n).inverse(), n
 
 
 def test_q_series_frozen_coefficients():
