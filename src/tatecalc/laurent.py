@@ -253,6 +253,10 @@ class LaurentPoly:
 MAX_SPAN = 1 << 22
 
 
+def _span_error(var: str, lo: int, hi: int) -> DomainError:
+    return DomainError(f"a product over {var}^{lo}..{var}^{hi} spans more than {MAX_SPAN} exponents")
+
+
 class DenseAccumulator:
     """A sum of products x*y of Laurent polynomials in one variable, fraction-free.
 
@@ -288,21 +292,19 @@ class DenseAccumulator:
         lo = xs[0][0] + ys[0][0]
         hi = xs[-1][0] + ys[-1][0]
         nums = self.nums
-        if nums:
-            lo, hi = min(lo, self.lo), max(hi, self.lo + len(nums) - 1)
-        if hi - lo >= MAX_SPAN:
-            raise DomainError(
-                f"a product over {self.var}^{lo}..{self.var}^{hi} spans more than {MAX_SPAN} exponents"
-            )
+        # the span is checked only where the list is allocated or grown
         if not nums:
+            if hi - lo >= MAX_SPAN:
+                raise _span_error(self.var, lo, hi)
             self.lo = lo
             nums = self.nums = [0] * (hi - lo + 1)
-        else:
-            if lo < self.lo:
-                nums[:0] = [0] * (self.lo - lo)
-                self.lo = lo
-            if hi - lo + 1 > len(nums):
-                nums.extend([0] * (hi - lo + 1 - len(nums)))
+        elif lo < self.lo or hi >= self.lo + len(nums):
+            lo, hi = min(lo, self.lo), max(hi, self.lo + len(nums) - 1)
+            if hi - lo >= MAX_SPAN:
+                raise _span_error(self.var, lo, hi)
+            nums[:0] = [0] * (self.lo - lo)
+            nums.extend([0] * (hi - lo + 1 - len(nums)))
+            self.lo = lo
         if len(xs) > len(ys):
             xs, ys = ys, xs
         base = -self.lo

@@ -528,12 +528,6 @@ def geometric_series(ring: Ring, ratio, order: int, var: str = "T") -> TruncSeri
 
 _bernoulli_cache: list[Fraction] = []
 
-# bernoulli(n) builds the generating series through D^n, about n^3 work: a
-# fresh process took 0.3 s at n = 256, 1.9 s at 512, 3.1 s at 600 and 22 s at
-# 1000 (CPython 3.11, 2-vCPU VM), so `eval` refuses indices above 512 with exit
-# 2, and the cache never grows past this bound ahead of need.
-BERNOULLI_MAX_INDEX = 512
-
 
 def bernoulli_minus(order: int) -> TruncSeries:
     """The series D/(e^D - 1) to the given order, over Q.
@@ -563,7 +557,5 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise DomainError("Bernoulli index must be non-negative")
     if n >= len(_bernoulli_cache):
-        # grow geometrically, so that a loop over n builds the series only
-        # O(log n) times, but build past n only up to the bound
-        bernoulli_minus(max(n, min(2 * len(_bernoulli_cache), BERNOULLI_MAX_INDEX), 16))
+        bernoulli_minus(max(n, 16))
     return _bernoulli_cache[n]

@@ -10,7 +10,7 @@ The quotient map mirrors the H-side boundary through the convention
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .arith import power
@@ -22,7 +22,7 @@ from .laurent import LaurentPoly, render_terms, var_power
 from .multipoly import RationalFunction
 from .report import Check, VerificationReport
 from .series import (
-    ZZ, TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring, numerical_ring,
+    ZZ, TruncSeries, bernoulli_number, geometric_series, laurent_coeff_ring, numerical_ring,
 )
 
 ONE_MINUS_Q = LaurentPoly("q", {0: 1, 1: -1})
@@ -383,17 +383,15 @@ def q_series(order: int) -> TruncSeries:
     T/L = integral_0^1 (1+T)^x dx, the Gregory number
     G_k = (1/k!) sum_l s(k, l)/(l+1), summed in integers over lcm(1..k+1).
     Then q_k = (beta q)_k / beta, whose leading coefficient is beta^-1.  That
-    is one Stirling table, one Bernoulli series and O(order^2) rationals:
-    0.09 s at order 128, where the series inverse of `q_hat_inv_poly` takes
-    2.4 s.
+    is one Stirling table, the Bernoulli numbers through B_order (built once
+    per process, then read from their cache) and O(order^2) rationals: 0.09 s
+    at order 128, where the series inverse of `q_hat_inv_poly` takes 2.4 s.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
     stirling = stirling1_rows(order)
-    bern = bernoulli_minus(order)  # the D^n coefficient is B_n/n!
-    # B+_n/n = (-1)^n (B_n/n!) (n-1)!, for n = 1..order
-    b_over_n = [Fraction((-1) ** n * bern.coeff(n) * factorial(n - 1))
-                for n in range(1, order + 1)]
+    bernoulli_number(order)  # fills the cache through B_order, once per process
+    b_over_n = [(-1) ** n * bernoulli_number(n) / n for n in range(1, order + 1)]  # B+_n/n
     coeffs, lcm_k, fact, prev_fact = [], 1, 1, 1  # lcm(1..k+1), k!, (k-1)!
     for k, (row, prev_row) in enumerate(zip(stirling, [[], *stirling])):
         lcm_k = lcm(lcm_k, k + 1)

@@ -17,7 +17,6 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import tatecalc.series as series_mod
 from tatecalc.errors import (
     CapabilityError,
     DomainError,
@@ -592,32 +591,6 @@ def test_bernoulli_numbers_match_pascal_oracle():
     for n in range(25):
         assert s.coeff(n) * factorial(n) == oracle[n]
         assert bernoulli_number(n) == oracle[n]
-
-
-def test_bernoulli_number_loop_builds_the_series_a_few_times(monkeypatch):
-    # the cache grows to at least twice its length on a miss, so a loop over
-    # n rebuilds D/(e^D - 1) O(log n) times, not once per n
-    builds = []
-
-    def counting(order):
-        builds.append(order)
-        return bernoulli_minus(order)
-
-    monkeypatch.setattr(series_mod, "_bernoulli_cache", [])
-    monkeypatch.setattr(series_mod, "bernoulli_minus", counting)
-    oracle = bernoulli_oracle(128)
-    assert [bernoulli_number(n) for n in range(129)] == oracle
-    assert builds == [16, 34, 70, 142]
-
-
-def test_bernoulli_cache_grows_past_need_only_up_to_its_bound(monkeypatch):
-    # doubling 300 to 600 would cost about 3 s, past the 2 s of eval's bound
-    builds = []
-    monkeypatch.setattr(series_mod, "_bernoulli_cache", [Fraction(0)] * 300)
-    monkeypatch.setattr(series_mod, "bernoulli_minus", builds.append)
-    with pytest.raises(IndexError):  # the spy fills no cache
-        bernoulli_number(300)
-    assert builds == [series_mod.BERNOULLI_MAX_INDEX]
 
 
 def test_bernoulli_odd_vanishing():
