@@ -384,7 +384,7 @@ def q_series(order: int) -> TruncSeries:
     G_k = (1/k!) sum_l s(k, l)/(l+1), summed in integers over lcm(1..k+1).
     Then q_k = (beta q)_k / beta, whose leading coefficient is beta^-1.  That
     is one Stirling table, the Bernoulli numbers through B_order (built once
-    per process, then read from their cache) and O(order^2) rationals: 0.09 s
+    per process, then read from their cache) and O(order^2) rationals: 0.06 s
     at order 128, where the series inverse of `q_hat_inv_poly` takes 2.4 s.
     """
     if order < 0:
