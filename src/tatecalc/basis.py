@@ -249,9 +249,6 @@ class NumericalPoly(_IntBasisElem):
     def _product(self, other: NumericalPoly) -> NumericalPoly:
         return numerical_mul(self, other)
 
-    def degree(self) -> int:
-        return max(self.coords, default=-1)
-
     def evaluate(self, n: int) -> int:
         """Value at an integer argument; always an integer."""
         return sum(v * binom_int(n, k) for k, v in self.coords.items())

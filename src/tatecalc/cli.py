@@ -26,7 +26,7 @@ from . import expansions, tate_h, tate_k
 from .errors import TateCalcError
 from .evaluator import EvalError, evaluate, infer_mode, value_json
 from .parser import names_used, parse
-from .verify import Q_INTEGRALITY_MAX_ORDER, SUITE_NAMES, run_suite
+from .verify import COROLLARY_SIGN_MAX_ORDER, Q_INTEGRALITY_MAX_ORDER, SUITE_NAMES, run_suite
 
 REPORT_NAMES = ("q-integrality", "corollary-sign", "expansion-sign")
 
@@ -94,91 +94,70 @@ def _print(render: Callable[[], str]) -> None:
     print(text)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+# What a command computed: its exit code, its JSON payload and its text.  The
+# last two are built only when printed, through `_print`.
+Outcome = tuple[int, Callable[[], object], Callable[[], str]]
+
+
+def _cmd_eval(args: argparse.Namespace) -> Outcome:
     expr = parse(args.expr)
     symbols, functions = names_used(expr)
     mode = infer_mode(symbols, functions) if args.ring == "auto" else args.ring
     value = evaluate(expr, mode, args.order, symbols)
-    if args.json:
-        _print(lambda: json.dumps({"expr": args.expr, "ring": mode, "order": args.order,
-                                   "value": value_json(value), "text": str(value)}, indent=2))
-    else:
-        _print(lambda: str(value))
-    return 0
+    return (0, lambda: {"expr": args.expr, "ring": mode, "order": args.order,
+                        "value": value_json(value), "text": str(value)},
+            lambda: str(value))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Outcome:
     report = run_suite(args.suite, args.order, args.seed, defect=args.defect)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report)
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, report.to_json, report.__str__
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> Outcome:
     expr = parse(args.expr)
     value = evaluate(expr, "tate_k", args.order)
     if not isinstance(value, tate_k.TateKElem):
         raise EvalError("expand needs an element of Z[q^±1, (1-q)^-1]")
     puncture = expansions.Puncture(args.puncture)
     series = expansions.expand(value, puncture, args.order)
-    if args.json:
-        payload = {
-            "puncture": args.puncture,
-            "variable": puncture.variable,
-            "low": series.low,
-            "order": series.order,
-            "coeffs": [int(c) for c in series.coeffs],
-        }
-        _print(lambda: json.dumps(payload, indent=2))
-    else:
-        _print(lambda: str(series))
-    return 0
+    return (0, lambda: {"puncture": args.puncture, "variable": puncture.variable,
+                        "low": series.low, "order": series.order,
+                        "coeffs": [int(c) for c in series.coeffs]},
+            series.__str__)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Outcome:
+    bound = {"q-integrality": Q_INTEGRALITY_MAX_ORDER,
+             "corollary-sign": COROLLARY_SIGN_MAX_ORDER}.get(args.name)
+    if bound is not None and args.order > bound:
+        raise TateCalcError(f"order {args.order} is above the {args.name} bound {bound}")
     if args.name == "q-integrality":
-        if args.order > Q_INTEGRALITY_MAX_ORDER:
-            raise TateCalcError(
-                f"order {args.order} is above the q-integrality bound {Q_INTEGRALITY_MAX_ORDER}"
-            )
         rep = tate_k.integrality_report(args.order)
-        print(json.dumps(rep.to_json(), indent=2) if args.json else rep)
-        return 0
+        return 0, rep.to_json, rep.__str__
+    order = max(args.order, 4)
     if args.name == "corollary-sign":
-        res = tate_h.c_series_from_b(max(args.order, 4))
-        payload = {
-            "report": "corollary-sign",
-            "order": max(args.order, 4),
-            "matchingSign": res.matching_sign,
-            "statement": f"c_hat = {res.matching_sign:+d} * b^-1 * B(-bT), B(D) = D/(e^D - 1)",
-            "cHat": res.c_hat.to_json(),
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(payload["statement"])
-            print(f"c_hat = {res.c_hat}")
-        return 0
+        res = tate_h.c_series_from_b(order)
+        statement = f"c_hat = {res.matching_sign:+d} * b^-1 * B(-bT), B(D) = D/(e^D - 1)"
+        return (0, lambda: {"report": "corollary-sign", "order": order,
+                            "matchingSign": res.matching_sign, "statement": statement,
+                            "cHat": res.c_hat.to_json()},
+                lambda: f"{statement}\nc_hat = {res.c_hat}")
     # expansion-sign
     qinv = tate_k.TateKElem(tate_k.LaurentPoly("q", {-1: 1}))
-    series = expansions.expand_at_s(qinv, max(args.order, 4))
-    payload = {
-        "report": "expansion-sign",
-        "order": max(args.order, 4),
-        "qInvAtS": series.to_json(),
-        "statement": (
-            "q^-1 expands at the s-puncture as -(s + s^2 + ...); the sign is forced by "
-            "(1 - s^-1) * (-sum_{k>=1} s^k) = 1, while the positive sum expands -q^-1"
-        ),
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(payload["statement"])
-        print(f"q^-1 |-> {series}")
-    return 0
+    series = expansions.expand(qinv, expansions.Puncture.INFINITY, order)
+    statement = (
+        "q^-1 expands at the s-puncture as -(s + s^2 + ...); the sign is forced by "
+        "(1 - s^-1) * (-sum_{k>=1} s^k) = 1, while the positive sum expands -q^-1"
+    )
+    return (0, lambda: {"report": "expansion-sign", "order": order,
+                        "qInvAtS": series.to_json(), "statement": statement},
+            lambda: f"{statement}\nq^-1 |-> {series}")
+
+
+_COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
+    "eval": _cmd_eval, "verify": _cmd_verify, "expand": _cmd_expand, "report": _cmd_report,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,21 +166,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        code, payload, text = _COMMANDS[args.command](args)
+        _print(lambda: json.dumps(payload(), indent=2) if args.json else text())
     except (TateCalcError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # the parser and the evaluator recurse on the expression tree
         print("error: expression is nested too deeply", file=sys.stderr)
         return 2
-    return 0
+    return code
 
 
 def entry() -> None:

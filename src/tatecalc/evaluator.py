@@ -248,7 +248,7 @@ class _EvalK(_EvalTate):
     def div(self, a, b):
         a, b = (self.lift(v) if isinstance(v, int) else v for v in (a, b))
         if isinstance(a, TateKElem) and isinstance(b, TateKElem):
-            return tate_k.tatek_div(a, b)
+            return a * b.inverse()
         raise EvalError("division in tate_k requires unit divisors")
 
     def call(self, e: Call):

@@ -36,6 +36,12 @@ from .tate_k import TateKElem
 # refused with a DomainError before any coefficient is computed.
 MAX_DEPTH = 4096
 
+# The result is dense up to `order`, and each numerator term loops up to it:
+# `expand "1 - q" --at 0` took 0.41 s and 38 MB at order 2^18 and 3.7 s and
+# 358 MB at 4000000 on the same VM.  `verify all` and the interactive stream
+# expand to order 32 at most, so an order above MAX_ORDER (2^18) is refused.
+MAX_ORDER = 1 << 18
+
 
 class Puncture(enum.Enum):
     ZERO = "0"
@@ -53,10 +59,12 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
     Sums the closed forms of the module docstring term by term, the binomial
     coefficients by their running recurrence; the result starts at its first
     nonzero coefficient (the zero series starts at 0).  One that would start
-    below t^-MAX_DEPTH is refused.
+    below t^-MAX_DEPTH, or run above order MAX_ORDER, is refused.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
+    if order > MAX_ORDER:
+        raise DomainError(f"order {order} is above the expansion bound {MAX_ORDER}")
     k, out = x.denom_pow, {}
     # each term below starts at t^a, a >= the least a over the numerator
     lows = {Puncture.ZERO: x.num.lo(), Puncture.ONE: -k, Puncture.INFINITY: k - x.num.hi()}
@@ -79,21 +87,6 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
             c = c * (i - b) // (i + 1)
     coeffs = [out.get(n, 0) for n in range(low, order + 1)]
     return TruncSeries(ZZ, low, order, coeffs, puncture.variable).trimmed()
-
-
-def expand_at_zero(x: TateKElem, order: int) -> TruncSeries:
-    """q -> q, (1-q)^-1 -> sum q^k: the Laurent expansion at the origin."""
-    return expand(x, Puncture.ZERO, order)
-
-
-def expand_at_one(x: TateKElem, order: int) -> TruncSeries:
-    """q -> 1-u, q^-1 -> sum u^k, (1-q)^-1 -> u^-1: expansion at q = 1."""
-    return expand(x, Puncture.ONE, order)
-
-
-def expand_at_s(x: TateKElem, order: int) -> TruncSeries:
-    """(1-q)^-1 -> s, q -> 1 - s^-1, hence q^-1 -> -sum_{k>=1} s^k."""
-    return expand(x, Puncture.INFINITY, order)
 
 
 def adams_on_series(k: int, x: TruncSeries, order: int) -> TruncSeries:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly
 from .report import Check, VerificationReport
-from .series import Ring, TruncSeries, laurent_coeff_ring
+from .series import TruncSeries, laurent_coeff_ring
 
 RING = laurent_coeff_ring("x")
 X = LaurentPoly("x", {1: 1})
@@ -89,7 +89,7 @@ def b_over_beta(order: int) -> TruncSeries:
                         _log_one_minus(y, order + 1), _log_one_plus_t(order + 1))
 
 
-def specialize_diagonal(s: TruncSeries, target: Ring | None = None) -> TruncSeries:
+def specialize_diagonal(s: TruncSeries) -> TruncSeries:
     """Substitute y := x in a series built at order s.order, landing in Q[x]:
     x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j)."""
     k = s.order + 3
@@ -100,7 +100,7 @@ def specialize_diagonal(s: TruncSeries, target: Ring | None = None) -> TruncSeri
             out[e % k + e // k] = out.get(e % k + e // k, 0) + v
         return LaurentPoly("x", out)
 
-    return s.map_coeffs(diagonal, target or RING)
+    return s.map_coeffs(diagonal)
 
 
 def t_inv_log_one_plus(order: int) -> TruncSeries:

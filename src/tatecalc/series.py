@@ -299,9 +299,6 @@ class TruncSeries:
         lo = min(self.low, other.low)
         return all(self.coeff(k) == other.coeff(k) for k in range(lo, top + 1))
 
-    def is_zero_series(self) -> bool:
-        return self.valuation() is None
-
     def is_one_series(self) -> bool:
         return self.agrees_with(TruncSeries.one(self.ring, self.order, self.var))
 
@@ -376,8 +373,8 @@ class TruncSeries:
             return TruncSeries.one(self.ring, self.order, self.var)
         return power(self, n)
 
-    def map_coeffs(self, fn: Callable, ring: Ring | None = None) -> TruncSeries:
-        return TruncSeries(ring or self.ring, self.low, self.order, [fn(c) for c in self.coeffs], self.var)
+    def map_coeffs(self, fn: Callable) -> TruncSeries:
+        return TruncSeries(self.ring, self.low, self.order, [fn(c) for c in self.coeffs], self.var)
 
     # -- series operations -------------------------------------------------------
 
@@ -518,9 +515,9 @@ class TruncSeries:
         }
 
 
-def geometric_series(ring: Ring, ratio, order: int, var: str = "T") -> TruncSeries:
-    """(1 - ratio*var)^(-1) = sum_k ratio^k var^k, computed by series inversion."""
-    one_minus = TruncSeries.from_coeffs(ring, 0, [ring.one, -ratio], var, order=order)
+def geometric_series(ring: Ring, ratio, order: int) -> TruncSeries:
+    """(1 - ratio*T)^(-1) = sum_k ratio^k T^k, computed by series inversion."""
+    one_minus = TruncSeries.from_coeffs(ring, 0, [ring.one, -ratio], order=order)
     return one_minus.inverse()
 
 

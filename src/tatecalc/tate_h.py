@@ -23,13 +23,6 @@ from .report import Check, VerificationReport
 from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring
 
 
-def element(coeffs: dict[int, int]) -> LaurentPoly:
-    """Build a Z[c,c^-1] element, validating integrality."""
-    x = LaurentPoly("c", coeffs)
-    _check(x)
-    return x
-
-
 def _check(x: LaurentPoly) -> None:
     if x.var != "c":
         raise DomainError(f"expected a Laurent polynomial in c, got variable {x.var!r}")

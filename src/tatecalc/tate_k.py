@@ -35,15 +35,26 @@ def _check_q(x: LaurentPoly) -> None:
         raise DomainError(f"{x} has non-integer coefficients; the ring is over Z")
 
 
+# `_split_at_one`'s quotient is dense over its numerator's span: `eval "(q^N -
+# 1)*(1-q)^-1"` took 0.62 s and 76 MB at N = 2^18 and 7.7 s and 912 MB at N =
+# 4000000 in a fresh process (CPython 3.11, 2-vCPU VM).  `verify all` and the
+# interactive stream split spans of at most 649, so a wider one is refused.
+MAX_SPLIT_SPAN = 1 << 18
+
+
 def _split_at_one(num: LaurentPoly) -> tuple[int, LaurentPoly]:
     """(a, Q) with num = a + (1-q) * Q exactly and a = num(1).
 
     Q's coefficient at q^e is the prefix sum of num's coefficients through
     q^e, less a from q^0 on (synthetic division by the linear factor).
     """
+    lo, hi = min(num.lo(), 0), max(num.hi(), 0)
+    if hi - lo > MAX_SPLIT_SPAN:
+        raise DomainError(f"the quotient by 1-q over q^{lo}..q^{hi - 1} spans more than "
+                          f"{MAX_SPLIT_SPAN} exponents")
     a = sum(num.coeffs.values())
     quo, prefix = {}, 0
-    for e in range(min(num.lo(), 0), max(num.hi(), 0)):
+    for e in range(lo, hi):
         prefix += num.coeff(e)
         quo[e] = prefix - a if e >= 0 else prefix
     return a, LaurentPoly("q", quo)
@@ -167,10 +178,6 @@ class TateKElem:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "denomPow": self.denom_pow}
-
-
-def tatek_div(a: TateKElem, b: TateKElem) -> TateKElem:
-    return a * b.inverse()
 
 
 class PartialFractionForm(NamedTuple):

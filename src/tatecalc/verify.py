@@ -13,7 +13,8 @@ corollary runs at 4..32, cartier at bi-order up to (12,12), expansions at
 sits at or above every order the acceptance criteria pin.  prop2 runs at the
 requested order, so orders above PROP2_MAX_ORDER (256, a few seconds) are
 refused with a typed error before any suite runs.  The CLI refuses `report
-q-integrality` above Q_INTEGRALITY_MAX_ORDER (192) the same way.
+q-integrality` above Q_INTEGRALITY_MAX_ORDER (192) and `report corollary-sign`
+above COROLLARY_SIGN_MAX_ORDER (512) the same way.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ _T = TypeVar("_T")
 # -- random generators ---------------------------------------------------------
 
 
-def rand_laurent(rng: random.Random, var: str, window: tuple[int, int],
-                 max_terms: int = 5, coeff_bound: int = 9) -> LaurentPoly:
+def rand_laurent(rng: random.Random, var: str, window: tuple[int, int]) -> LaurentPoly:
     coeffs = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 5)):
         e = rng.randint(*window)
-        coeffs[e] = rng.randint(-coeff_bound, coeff_bound)
+        coeffs[e] = rng.randint(-9, 9)
     return LaurentPoly(var, coeffs)
 
 
@@ -200,7 +200,7 @@ def _suite_expansions(order: int, rng: random.Random, defect: int | None) -> Seq
     checks.append(Check("phi(q)phi(q^-1) = phi(1-q)phi((1-q)^-1) = 1 at each puncture", units))
 
     def embeds(x: LaurentPoly) -> bool:
-        s = expansions.expand_at_zero(TateKElem(x), order)
+        s = expansions.expand(TateKElem(x), expansions.Puncture.ZERO, order)
         return all(s.coeff(k) == x.coeff(k) for k in range(min(s.low, x.lo()), order + 1))
 
     embedding = _first_defect(
@@ -209,7 +209,7 @@ def _suite_expansions(order: int, rng: random.Random, defect: int | None) -> Seq
     )
     checks.append(Check("expansion at 0 embeds Z[q^±1] identically", embedding))
 
-    sgn = expansions.expand_at_s(qinv, 4)
+    sgn = expansions.expand(qinv, expansions.Puncture.INFINITY, 4)
     positive_sum = TruncSeries.from_coeffs(ZZ, 1, [1, 1, 1, 1], "s")
     checks.append(
         Check(
@@ -244,8 +244,8 @@ def _suite_adams(order: int, rng: random.Random, defect: int | None) -> Sequence
         return f"psi^{k} o psi^{l} != psi^{k*l} on {x}"
 
     def series_defect(k: int, l: int) -> str | None:
-        base = expansions.expand_at_zero(rand_tatek(rng, window=(-3, 3), max_pole=2),
-                                         order * k * l + 2)
+        base = expansions.expand(rand_tatek(rng, window=(-3, 3), max_pole=2),
+                                 expansions.Puncture.ZERO, order * k * l + 2)
         psi_l = expansions.adams_on_series(l, base, order * k)
         two_step = expansions.adams_on_series(k, psi_l, order)
         if two_step.agrees_with(expansions.adams_on_series(k * l, base, order), through=order):
@@ -304,6 +304,12 @@ PROP2_MAX_ORDER = 256
 # took 0.5 s at order 128, 1.7 s at 192 and 2.5 s at 224 in a fresh process
 # (CPython 3.11, 2-vCPU VM), so above 192 it exits 2.
 Q_INTEGRALITY_MAX_ORDER = 192
+
+# `report corollary-sign` inverts and takes the log of a series over Q[b^±1]
+# whose T^n coefficient carries n! in its denominator, so its cost grows about
+# as order^3: 0.46 s at order 256, 1.3 s at 384, 3.1 s at 512 and 6.3 s at 640
+# in a fresh process (CPython 3.11, 2-vCPU VM), so above 512 it exits 2.
+COROLLARY_SIGN_MAX_ORDER = 512
 
 
 def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> VerificationReport:

@@ -128,7 +128,8 @@ def test_numerical_product_values_agree_pointwise():
             x = NumericalPoly({rng.randint(0, top): rng.randint(-4, 4) for _ in range(3)})
             y = NumericalPoly({rng.randint(0, top): rng.randint(-4, 4) for _ in range(3)})
             p = numerical_mul(x, y)
-            for n in range(-3, max(21, x.degree() + y.degree() + 2)):
+            degrees = max(x.coords, default=-1) + max(y.coords, default=-1)
+            for n in range(-3, max(21, degrees + 2)):
                 assert p.evaluate(n) == x.evaluate(n) * y.evaluate(n)
 
 

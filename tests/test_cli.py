@@ -240,6 +240,9 @@ def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
     ("adams(1000000000, 1+q)*q", "a product over q^1..q^1000000001 spans more than 4194304 exponents"),
     # an expansion a million terms below its order
     ("expand(adams(1000000, qinv), 0)", "the expansion would start at q^-1000000, below the bound q^-4096"),
+    # a dense quotient by 1-q over four million exponents, 7.7 s and 912 MB
+    ("(q^4000000 - 1)*(1-q)^-1",
+     "the quotient by 1-q over q^0..q^3999999 spans more than 262144 exponents"),
 ])
 def test_eval_typed_errors_where_type_errors_or_long_runs_were(capsys, expr, err):
     for extra in ((), ("--json",)):
@@ -345,6 +348,25 @@ def test_report_q_integrality_rejects_negative_order(capsys):
     assert err.strip() == "error: order must be non-negative"
 
 
+def test_report_corollary_sign_refuses_orders_above_its_bound(capsys):
+    # refused before the series is built, so this returns at once
+    for extra in ((), ("--json",)):
+        assert run(capsys, "report", "corollary-sign", "--order", "513", *extra) == (
+            2, "", "error: order 513 is above the corollary-sign bound 512\n")
+
+
+def test_a_report_with_an_integer_too_long_to_print_exit_2(capsys):
+    # c_hat's T^n coefficient has about n! in its denominator: 697 digits at n = 330
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for extra in ((), ("--json",)):
+            assert run(capsys, "report", "corollary-sign", "--order", "330", *extra) == (
+                2, "", TOO_LONG.replace("4300", "640"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_report_q_integrality_refuses_orders_above_its_bound(capsys):
     # refused before the q-series is built, so this returns at once
     code, out, err = run(capsys, "report", "q-integrality", "--order", "193")
@@ -366,6 +388,13 @@ def test_expand_refuses_a_start_far_below_t0(capsys, elem, at, low):
     for extra in ((), ("--json",)):
         assert run(capsys, "expand", elem, "--at", at, "--order", "0", *extra) == (
             2, "", f"error: the expansion would start at {low}, below the bound {low[0]}^-4096\n")
+
+
+def test_expand_refuses_an_order_above_its_bound(capsys):
+    # refused before the loop: at order 4000000 this took 3.7 s and 358 MB to print 1 - q
+    for extra in ((), ("--json",)):
+        assert run(capsys, "expand", "1 - q", "--at", "0", "--order", "4000000", *extra) == (
+            2, "", "error: order 4000000 is above the expansion bound 262144\n")
 
 
 def test_report_signs(capsys):

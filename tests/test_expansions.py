@@ -18,6 +18,7 @@ def q_poly(coeffs):
 Q = TateKElem(q_poly({1: 1}))
 QINV = TateKElem(q_poly({-1: 1}))
 POLE = TateKElem(LaurentPoly.one("q"), 1)
+ZERO, ONE, INF = ex.Puncture.ZERO, ex.Puncture.ONE, ex.Puncture.INFINITY
 
 
 def rand_tatek(rng, window=(-4, 4), max_pole=3):
@@ -33,23 +34,23 @@ def series(low, coeffs, var, order=None):
 
 
 def test_expand_at_zero_examples():
-    s = ex.expand_at_zero(POLE, 6)
+    s = ex.expand(POLE, ZERO, 6)
     assert s.agrees_with(series(0, [1] * 7, "q"))
-    assert ex.expand_at_zero(QINV, 4).agrees_with(series(-1, [1], "q", order=4))
-    assert ex.expand_at_zero(POLE * TateKElem(ONE_MINUS_Q), 5).is_one_series()
+    assert ex.expand(QINV, ZERO, 4).agrees_with(series(-1, [1], "q", order=4))
+    assert ex.expand(POLE * TateKElem(ONE_MINUS_Q), ZERO, 5).is_one_series()
 
 
 def test_expand_at_one_examples():
-    s = ex.expand_at_one(QINV, 5)
+    s = ex.expand(QINV, ONE, 5)
     assert s.agrees_with(series(0, [1] * 6, "u"))
-    assert ex.expand_at_one(POLE, 4).agrees_with(series(-1, [1], "u", order=4))
-    assert ex.expand_at_one(Q * QINV, 6).is_one_series()
+    assert ex.expand(POLE, ONE, 4).agrees_with(series(-1, [1], "u", order=4))
+    assert ex.expand(Q * QINV, ONE, 6).is_one_series()
 
 
 def test_expand_at_s_examples():
-    assert ex.expand_at_s(Q, 4).agrees_with(series(-1, [-1, 1], "s", order=4))
-    assert ex.expand_at_s(QINV, 5).agrees_with(series(1, [-1] * 5, "s"))
-    assert ex.expand_at_s(Q * QINV, 5).is_one_series()
+    assert ex.expand(Q, INF, 4).agrees_with(series(-1, [-1, 1], "s", order=4))
+    assert ex.expand(QINV, INF, 5).agrees_with(series(1, [-1] * 5, "s"))
+    assert ex.expand(Q * QINV, INF, 5).is_one_series()
 
 
 def test_s_puncture_sign_is_forced():
@@ -126,14 +127,14 @@ def test_units_map_to_units(puncture):
 
 def test_zero_expands_to_zero():
     for p in ex.Puncture:
-        assert ex.expand(TateKElem.zero(), p, 5).is_zero_series()
+        assert ex.expand(TateKElem.zero(), p, 5).valuation() is None
 
 
 def test_identity_embedding_on_laurent_subring():
     rng = random.Random(32)
     for _ in range(100):
         x = q_poly({rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(3)})
-        s = ex.expand_at_zero(TateKElem(x), 10)
+        s = ex.expand(TateKElem(x), ZERO, 10)
         for k in range(min(s.low, x.lo()), 11):
             assert s.coeff(k) == x.coeff(k)
 
@@ -142,7 +143,7 @@ def test_identity_embedding_on_laurent_subring():
 
 
 def test_adams_dilation():
-    g = ex.expand_at_zero(POLE, 8)
+    g = ex.expand(POLE, ZERO, 8)
     d = ex.adams_on_series(2, g, 8)
     assert d.agrees_with(series(0, [1, 0, 1, 0, 1, 0, 1, 0, 1], "q"))
     assert ex.adams_on_series(1, g, 8).agrees_with(g)
@@ -152,20 +153,20 @@ def test_adams_consistency_with_laurent_route():
     from tatecalc.tate_k import adams_on_laurent
 
     x = q_poly({3: 1, -1: 1})
-    via_series = ex.adams_on_series(2, ex.expand_at_zero(TateKElem(x), 8), 8)
-    via_laurent = ex.expand_at_zero(TateKElem(adams_on_laurent(2, x)), 8)
+    via_series = ex.adams_on_series(2, ex.expand(TateKElem(x), ZERO, 8), 8)
+    via_laurent = ex.expand(TateKElem(adams_on_laurent(2, x)), ZERO, 8)
     assert via_series.agrees_with(via_laurent)
 
 
 def test_adams_series_composition():
-    base = ex.expand_at_zero(POLE, 40)
+    base = ex.expand(POLE, ZERO, 40)
     two_then_three = ex.adams_on_series(3, ex.adams_on_series(2, base, 13), 12)
     six = ex.adams_on_series(6, base, 12)
     assert two_then_three.agrees_with(six, through=12)
 
 
 def test_adams_insufficient_order_is_typed():
-    g = ex.expand_at_zero(POLE, 2)
+    g = ex.expand(POLE, ZERO, 2)
     with pytest.raises(PrecisionError):
         ex.adams_on_series(3, g, 9)
     with pytest.raises(DomainError):
@@ -192,3 +193,11 @@ def test_an_expansion_starting_below_the_bound_is_refused(monkeypatch, puncture)
     assert s.low == -5 and s.coeff(-5) != 0
     with pytest.raises(DomainError, match="would start at .\\^-6, below the bound"):
         ex.expand(below, puncture, 3)
+
+
+@pytest.mark.parametrize("puncture", list(ex.Puncture))
+def test_an_expansion_above_the_order_bound_is_refused(monkeypatch, puncture):
+    monkeypatch.setattr(ex, "MAX_ORDER", 5)
+    assert ex.expand(POLE * Q, puncture, 5).order == 5
+    with pytest.raises(DomainError, match="^order 6 is above the expansion bound 5$"):
+        ex.expand(POLE * Q, puncture, 6)

@@ -22,6 +22,7 @@ MIXED = "(q^-3 + 2*q^4 - 5)*(1-q)^-3"
 CASES = [
     ("verify_all_o24.txt", ["verify", "all", "--order", "24", "--seed", "1"], 0),
     ("verify_all_o24.json", ["verify", "all", "--order", "24", "--seed", "1", "--json"], 0),
+    ("verify_all_o64.json", ["verify", "all", "--order", "64", "--seed", "1", "--json"], 0),
     # every capped suite at its cap: corollary at 32, renorm at 24
     ("verify_all_o64_seed7.txt", ["verify", "all", "--order", "64", "--seed", "7"], 0),
     ("q_integrality_o16.txt", ["report", "q-integrality", "--order", "16"], 0),
@@ -65,6 +66,10 @@ CASES = [
 def test_cli_output_matches_golden(capsys, name, argv, code):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(name for name, _, _ in CASES)
 
 
 # sha256 of `report q-integrality` output too large to keep as a file (0.1 MB

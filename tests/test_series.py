@@ -628,5 +628,5 @@ def test_json_round_structure():
 def test_add_sub_round_trip(low, coeffs):
     s = TruncSeries.from_coeffs(QQ, low, [Fraction(c) for c in coeffs])
     z = s - s
-    assert z.is_zero_series()
+    assert z.valuation() is None
     assert (s + z).agrees_with(s)

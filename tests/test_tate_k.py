@@ -86,6 +86,15 @@ def test_split_at_one_is_exact():
         assert num == a + ONE_MINUS_Q * quo
 
 
+def test_a_split_spanning_more_than_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(tate_k, "MAX_SPLIT_SPAN", 10)
+    # (q^-3 - q^7)/(1-q) = q^-3 + ... + q^6, a quotient of 10 exponents
+    x = TateKElem(q_poly({-3: 1, 7: -1}), 1)
+    assert x == TateKElem(q_poly({e: 1 for e in range(-3, 7)}))
+    with pytest.raises(DomainError, match="1-q over q\\^-3..q\\^7 spans more than 10 exponents"):
+        TateKElem(q_poly({-3: 1, 8: -1}), 1)
+
+
 # -- partial fractions -----------------------------------------------------------------
 
 
