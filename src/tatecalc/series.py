@@ -28,7 +28,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, canon_scalar
 from .multipoly import MultiPoly
 
 
@@ -513,6 +513,19 @@ class TruncSeries:
             "order": self.order,
             "coeffs": [self.ring.json(c) for c in self.coeffs],
         }
+
+
+def monomial_coords(s: TruncSeries, sign: int, divided: bool = False) -> list[int | None]:
+    """Per T^k, k = low..order, of a series over a Laurent ring: the integer v
+    with T^k coefficient v * var^(sign*k), or with `divided` the integer v with
+    coefficient v * var^k/k! (the divided power b_k = b^k/k!).  None where the
+    coefficient has another term or v is not an integer."""
+    coords: list[int | None] = []
+    for k, c in enumerate(s.coeffs, s.low):
+        e = sign * k
+        v = canon_scalar(c.coeff(e) * factorial(k)) if divided else c.coeff(e)
+        coords.append(v if isinstance(v, int) and c.coeffs.keys() <= {e} else None)
+    return coords
 
 
 def geometric_series(ring: Ring, ratio, order: int) -> TruncSeries:

@@ -5,22 +5,22 @@ The split exact sequence 0 -> Z[c] -> Z[c,c^-1] -> c^-1 Z[c^-1] -> 0 is
 realized by the projection pi_minus onto strictly negative powers of c; the
 boundary sends c^-k to b_{k-1} and kills Z[c].  The degree bookkeeping
 (deg c = 2, deg T = 2, deg b_k = -2k) makes a degree-0 series carry exactly
-one integer coordinate per power of T, which GradedTSeries enforces by
-storing a bare scalar sequence.
+one integer coordinate per power of T; Proposition 1 is checked on these
+coordinates, read by `series.monomial_coords`, and GradedTSeries prints them.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from math import factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .basis import DividedPowerElem
 from .errors import DomainError
 from .laurent import LaurentPoly, render_terms
 from .report import Check, VerificationReport
-from .series import TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring
+from .series import (
+    TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring, monomial_coords,
+)
 
 
 def _check(x: LaurentPoly) -> None:
@@ -71,77 +71,31 @@ class Grading(enum.Enum):
     """Which graded module a degree-0 T-series lives in."""
 
     TATE_H = "TateH"   # T^k coordinate scales c^-k
-    COH_H = "CohH"     # same, but support restricted to k <= 0 (polynomial range)
     HOM_H = "HomH"     # T^k coordinate scales b_k (b_-1 := 0)
 
+    def label(self, k: int) -> str:
+        """The basis element of degree 0 with T^k: b_k or c^-k."""
+        return f"b_{k}" if self is Grading.HOM_H else f"c^{-k}"
 
-class _GradedFields(NamedTuple):
-    # GradedTSeries validates these in `__new__`, which a NamedTuple body may not define
+
+class GradedTSeries(NamedTuple):
+    """A degree-0 series as `eval` prints it: one integer per power of T,
+    scaling the basis element `tag.label(k)` of the matching degree."""
+
     tag: Grading
     low: int
     coords: tuple[int, ...]
 
-
-class GradedTSeries(_GradedFields):
-    """Degree-0 series: one integer scalar per power of T.
-
-    The V((T))|0 degree constraint is structural: the T^k slot holds the
-    single scalar multiplying the degree-matching basis element.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tag: Grading, low: int, coords: tuple[int, ...]):
-        self = super().__new__(cls, tag, low, coords)
-        if not coords:
-            raise DomainError("a graded series stores at least one coordinate")
-        if tag is Grading.COH_H:
-            for k in range(low, self.order + 1):
-                if k > 0 and self.coord(k) != 0:
-                    raise DomainError("CohH series must be supported in degrees k <= 0")
-        return self
-
     @property
     def order(self) -> int:
         return self.low + len(self.coords) - 1
-
-    def coord(self, k: int) -> int:
-        if k < self.low or k > self.order:
-            return 0
-        return self.coords[k - self.low]
-
-    def __sub__(self, other: GradedTSeries) -> GradedTSeries:
-        if self.tag is not other.tag:
-            raise DomainError("cannot subtract series with different module tags")
-        low = min(self.low, other.low)
-        order = min(self.order, other.order)
-        return GradedTSeries(
-            self.tag, low, tuple(self.coord(k) - other.coord(k) for k in range(low, order + 1))
-        )
-
-    def with_coord(self, k: int, value: int) -> GradedTSeries:
-        if k < self.low or k > self.order:
-            raise DomainError(f"coordinate {k} outside stored range")
-        coords = list(self.coords)
-        coords[k - self.low] = value
-        return GradedTSeries(self.tag, self.low, tuple(coords))
-
-    def termwise_boundary(self) -> dict[int, DividedPowerElem]:
-        """Apply the boundary to each T^k coefficient (TateH/CohH side only)."""
-        if self.tag is Grading.HOM_H:
-            raise DomainError("the boundary acts on the Tate side, not on homology")
-        out = {}
-        for k in range(self.low, self.order + 1):
-            out[k] = boundary(LaurentPoly("c", {-k: self.coord(k)}))
-        return out
 
     def __str__(self) -> str:
         """Each nonzero coordinate times its basis label and power of T."""
         def mono(k: int) -> str:
             if k == 0:
                 return ""
-            label = f"b_{k}" if self.tag is Grading.HOM_H else f"c^{-k}"
-            return f"{label} {'T' if k == 1 else f'T^{k}'}"
+            return f"{self.tag.label(k)} {'T' if k == 1 else f'T^{k}'}"
 
         return render_terms([(k, v) for k, v in enumerate(self.coords, self.low) if v], mono)
 
@@ -154,110 +108,86 @@ class GradedTSeries(_GradedFields):
         }
 
 
-def include_homology(s: GradedTSeries) -> GradedTSeries:
-    """Coordinate relabeling b_k -> c^-k (a module map, not a ring map)."""
-    if s.tag is not Grading.HOM_H:
-        raise DomainError("only homology-side series are relabeled into the Tate side")
-    return GradedTSeries(Grading.TATE_H, s.low, s.coords)
+def _exp_bT_coords(order: int) -> list[int | None]:
+    """The b_k coordinate of exp(bT), k! times its b^k coefficient, for T^0..T^order."""
+    ring = laurent_coeff_ring("b")
+    bT = TruncSeries.from_coeffs(ring, 0, [ring.zero, LaurentPoly("b", {1: 1})], order=order)
+    return monomial_coords(bT.exp(), 1, divided=True)
 
 
-def _tate_coords(s: TruncSeries) -> tuple[int, ...]:
-    """Extract the scalar of c^-k from each T^k coefficient, checking purity."""
-    coords = []
-    for k in range(s.low, s.order + 1):
-        c: LaurentPoly = s.coeff(k)
-        extra = {e: v for e, v in c.coeffs.items() if e != -k}
-        if extra:
-            raise DomainError(f"T^{k} coefficient {c} is not a pure multiple of c^{-k}")
-        v = c.coeff(-k)
-        if not isinstance(v, int):
-            raise DomainError(f"non-integer coordinate {v} at T^{k}")
-        coords.append(v)
-    return tuple(coords)
+def _geom_cinv_coords(order: int) -> list[int | None]:
+    """The c^-k coordinate of (1 - c^-1 T)^-1 for T^0..T^order."""
+    ring = laurent_coeff_ring("c", integral=True)
+    return monomial_coords(geometric_series(ring, LaurentPoly("c", {-1: 1}), order), -1)
 
 
-def _hom_coords(s: TruncSeries) -> tuple[int, ...]:
-    """Extract the b_k coordinate (k! times the b^k coefficient) per power of T."""
-    coords = []
-    for k in range(s.low, s.order + 1):
-        c: LaurentPoly = s.coeff(k)
-        extra = {e: v for e, v in c.coeffs.items() if e != k}
-        if extra:
-            raise DomainError(f"T^{k} coefficient {c} is not a pure multiple of b^{k}")
-        v = Fraction(c.coeff(k)) * factorial(k)
-        if v.denominator != 1:
-            raise DomainError(f"non-integer divided-power coordinate {v} at T^{k}")
-        coords.append(int(v))
-    return tuple(coords)
+def _not_a_multiple(tag: Grading, k: int) -> str:
+    return f"T^{k}: coefficient is not an integer multiple of {tag.label(k)}"
+
+
+def _graded(tag: Grading, coords: list[int | None]) -> GradedTSeries:
+    bad = next((k for k, v in enumerate(coords) if v is None), None)
+    if bad is not None:
+        raise DomainError(_not_a_multiple(tag, bad))
+    return GradedTSeries(tag, 0, tuple(coords))
 
 
 def exp_bT(order: int) -> GradedTSeries:
     """exp(bT) as a homology-side graded series; coordinates are all ones."""
-    ring = laurent_coeff_ring("b")
-    if order == 0:
-        series = TruncSeries.one(ring, 0)
-    else:
-        b = LaurentPoly("b", {1: 1})
-        series = TruncSeries.from_coeffs(ring, 1, [b], order=order).exp()
-    return GradedTSeries(Grading.HOM_H, series.low, _hom_coords(series))
+    return _graded(Grading.HOM_H, _exp_bT_coords(order))
 
 
 def geom_cinv(order: int) -> GradedTSeries:
     """(1 - c^-1 T)^-1 as a Tate-side graded series; coordinates are all ones."""
-    ring = laurent_coeff_ring("c", integral=True)
-    series = geometric_series(ring, LaurentPoly("c", {-1: 1}), order)
-    return GradedTSeries(Grading.TATE_H, series.low, _tate_coords(series))
-
-
-def kernel_forces_zero(s: GradedTSeries) -> tuple[bool, int | None]:
-    """A boundary-kernel series supported in k >= 1 must vanish: the boundary of
-    v*c^-k is v*b_{k-1}, nonzero whenever v != 0 and k >= 1.  Returns (ok,
-    first offending k)."""
-    for k in range(max(s.low, 1), s.order + 1):
-        if s.coord(k) != 0:
-            return False, k
-    return True, None
+    return _graded(Grading.TATE_H, _geom_cinv_coords(order))
 
 
 def verify_prop1(order: int, defect: int | None = None) -> VerificationReport:
     """Mechanical check that exp(bT) and (1 - c^-1 T)^-1 agree in the Tate ring.
 
-    Reproduces the three steps: the difference epsilon has all-zero
-    coordinates; the termwise boundary of both series is sum b_{k-1} T^k; and
-    a boundary-kernel series supported in positive T-degrees vanishes.  The
-    optional `defect` injects a bad coordinate at T^defect for fault testing.
+    Reproduces the three steps on the coordinates of both series, b_k read as
+    c^-k: the difference epsilon has all-zero coordinates; the termwise
+    boundary of both series is sum b_{k-1} T^k; and a boundary-kernel series
+    supported in positive T-degrees vanishes.  A coefficient that is not an
+    integer multiple of its basis element is the first defect of each check
+    that reaches its power of T.  The optional `defect` injects a bad
+    coordinate at T^defect into epsilon for fault testing.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
-    lhs = include_homology(exp_bT(order))
-    rhs = geom_cinv(order)
-    eps = lhs - rhs
-    if defect is not None:
-        eps = eps.with_coord(defect, eps.coord(defect) + 1)
-    bad = next((k for k in range(eps.low, eps.order + 1) if eps.coord(k) != 0), None)
-    b_lhs = lhs.termwise_boundary()
-    b_rhs = rhs.termwise_boundary()
-    expected = {
-        k: (DividedPowerElem.zero() if k == 0 else DividedPowerElem.basis(k - 1))
-        for k in range(0, order + 1)
-    }
-    bad_b = next(
-        (k for k in range(0, order + 1) if not (b_lhs[k] == b_rhs[k] == expected[k])), None
-    )
-    ok, bad_k = kernel_forces_zero(eps)
+    b, c = _exp_bT_coords(order), _geom_cinv_coords(order)
+
+    def first_defect(start: int, found: Callable[[int, int], str | None]) -> str | None:
+        """The first defect at T^start..T^order; `found(k, epsilon_k)` names one."""
+        for k in range(start, order + 1):
+            if b[k] is None:
+                return _not_a_multiple(Grading.HOM_H, k)
+            if c[k] is None:
+                return _not_a_multiple(Grading.TATE_H, k)
+            defect_k = found(k, b[k] - c[k] + (k == defect))
+            if defect_k is not None:
+                return defect_k
+        return None
+
+    def boundary_defect(k: int, eps: int) -> str | None:
+        lhs, rhs = (boundary(LaurentPoly("c", {-k: v})) for v in (b[k], c[k]))
+        expected = DividedPowerElem.basis(k - 1) if k else DividedPowerElem.zero()
+        return None if lhs == rhs == expected else f"T^{k}: {lhs} vs {rhs}"
+
     checks = (
         Check(
             "epsilon-vanishes",
-            None if bad is None else f"T^{bad}: coordinate {eps.coord(bad)} != 0",
+            first_defect(0, lambda k, eps: f"T^{k}: coordinate {eps} != 0" if eps else None),
         ),
         Check(
             "termwise-boundary-agrees",
-            None if bad_b is None else f"T^{bad_b}: {b_lhs[bad_b]} vs {b_rhs[bad_b]}",
+            first_defect(0, boundary_defect),
             note="both boundaries equal sum_k b_(k-1) T^k",
         ),
         Check(
             "kernel-support-forces-zero",
-            None if ok else f"T^{bad_k}: nonzero coordinate {eps.coord(bad_k)} with nonzero boundary b_{bad_k - 1}",
+            first_defect(1, lambda k, eps: f"T^{k}: nonzero coordinate {eps} with nonzero "
+                                           f"boundary b_{k - 1}" if eps else None),
             note="ker(boundary) series live in degrees k <= 0; epsilon is supported in k >= 0 with zero constant term",
         ),
     )

@@ -22,7 +22,8 @@ from .laurent import LaurentPoly, render_terms, var_power
 from .multipoly import RationalFunction
 from .report import Check, VerificationReport
 from .series import (
-    ZZ, TruncSeries, bernoulli_number, geometric_series, laurent_coeff_ring, numerical_ring,
+    ZZ, TruncSeries, bernoulli_number, geometric_series, laurent_coeff_ring, monomial_coords,
+    numerical_ring,
 )
 
 ONE_MINUS_Q = LaurentPoly("q", {0: 1, 1: -1})
@@ -342,18 +343,14 @@ def verify_prop2(order: int, defect: int | None = None) -> VerificationReport:
         raise DomainError("order must be at least 1")
     ring_q = laurent_coeff_ring("q", integral=True)
     geo = geometric_series(ring_q, LaurentPoly("q", {-1: 1}), order)
-    geo_coords = []
-    for k in range(0, order + 1):
-        c: LaurentPoly = geo.coeff(k)
-        pure = set(c.coeffs) <= {-k}
-        geo_coords.append(c.coeff(-k) if pure else None)
+    geo_coords = monomial_coords(geo, -1)
     bin_series = binomial_series(order)
     bin_coords = []
     for k in range(0, order + 1):
         c: NumericalPoly = bin_series.coeff(k)
         pure = set(c.coords) <= {k}
         bin_coords.append(c.coord(k) if pure else None)
-    if defect is not None and 0 <= defect <= order:
+    if defect is not None:  # an index in 0..order; `verify.run_suite` checks it
         geo_coords[defect] = (geo_coords[defect] or 0) + 1
     bad = next(
         (k for k in range(order + 1) if not (geo_coords[k] == bin_coords[k] == 1)), None

@@ -317,6 +317,10 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
         raise TateCalcError("order must be at least 1")
     if name in ("prop2", "all") and order > PROP2_MAX_ORDER:
         raise TateCalcError(f"order {order} is above the prop2 bound {PROP2_MAX_ORDER}")
+    if defect is not None and name not in ("prop1", "prop2", "all"):
+        raise TateCalcError(f"a defect is injected only in prop1, prop2 and all, not {name}")
+    if defect is not None and not 0 <= defect <= order:
+        raise TateCalcError(f"defect index {defect} is outside 0..{order}")
     if name == "all":
         checks: list[Check] = []
         notes: list[str] = []

@@ -180,6 +180,28 @@ def test_verify_defect_injection_exit_1(capsys):
     assert "T^2" in out
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["corollary", "--defect", "3"], "a defect is injected only in prop1, prop2 and all, not corollary"),
+    (["cartier", "--defect", "2"], "a defect is injected only in prop1, prop2 and all, not cartier"),
+    (["prop2", "--order", "8", "--defect", "99"], "defect index 99 is outside 0..8"),
+    (["prop1", "--order", "8", "--defect", "9"], "defect index 9 is outside 0..8"),
+    (["all", "--order", "8", "--defect", "-1"], "defect index -1 is outside 0..8"),
+])
+def test_a_defect_no_suite_injects_exits_2(capsys, argv, err):
+    for extra in ((), ("--json",)):
+        assert run(capsys, "verify", *argv, *extra) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("suite,order,defect", [
+    ("prop1", 8, 0), ("prop1", 8, 8), ("prop2", 8, 0), ("prop2", 8, 8), ("all", 8, 8),
+    ("all", 64, 3),  # the benchmark's defect run
+])
+def test_a_defect_at_either_end_of_the_range_fails_its_suite(capsys, suite, order, defect):
+    code, out, err = run(capsys, "verify", suite, "--order", str(order), "--defect", str(defect))
+    assert (code, err) == (1, "")
+    assert f"T^{defect}" in out
+
+
 def test_verify_json_deterministic(capsys):
     args = ["verify", "exactness-h", "--order", "8", "--seed", "3", "--json"]
     code1, out1, _ = run(capsys, *args)

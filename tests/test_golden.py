@@ -43,6 +43,8 @@ CASES = [
     # graded series and partial fractions print through their own renderers
     ("eval_exp_bT_o6.txt", ["eval", "exp_bT()", "--order", "6"], 0),
     ("eval_geom_cinv_o6.txt", ["eval", "geom_cinv()", "--order", "6"], 0),
+    ("eval_exp_bT_o6.json", ["eval", "exp_bT()", "--order", "6", "--json"], 0),
+    ("eval_geom_cinv_o6.json", ["eval", "geom_cinv()", "--order", "6", "--json"], 0),
     ("eval_partial_fractions.txt", ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)"], 0),
     ("eval_partial_fractions.json",
      ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)", "--json"], 0),

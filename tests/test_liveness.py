@@ -1,0 +1,86 @@
+"""Verdict liveness: a broken engine makes `verify all` fail, and says where.
+
+A verdict is evidence only if it can fail.  Each row breaks one engine
+operation by monkeypatch, runs `verify all --order 24` through the CLI, and
+asserts exit 1 (a failed identity, not a usage error) with the first failing
+check in the named suite.  The kernel rows add the ring's one to the T^5
+coefficient of each result; the structural rows break one product or one
+dilation.  The table records which suite sees each defect first at this
+order, so a change to the suites' caps or orders shows up here.
+"""
+
+import pytest
+
+from tatecalc import basis, expansions, series, tate_h, tate_k, verify
+from tatecalc.basis import DividedPowerElem, NumericalPoly
+from tatecalc.cli import main
+from tatecalc.laurent import LaurentPoly
+from tatecalc.series import TruncSeries
+
+ORDER = 24
+K = 5
+
+
+def plus_one_at_k(s: TruncSeries) -> TruncSeries:
+    """`s` with the ring's one added to its T^K coefficient."""
+    if not s.low <= K <= s.order:
+        return s
+    coeffs = list(s.coeffs)
+    coeffs[K - s.low] = coeffs[K - s.low] + s.ring.one
+    return TruncSeries(s.ring, s.low, s.order, coeffs, s.var)
+
+
+def break_result(monkeypatch, targets, name):
+    """Replace `name` on every target by one that adds one at T^K of its result."""
+    real = getattr(targets[0], name)
+    for target in targets:
+        monkeypatch.setattr(target, name, lambda *args: plus_one_at_k(real(*args)))
+
+
+def break_kernel(name):
+    return lambda mp: break_result(mp, [TruncSeries], name)
+
+
+def break_divided_powers(mp):
+    real = DividedPowerElem._product
+    mp.setattr(DividedPowerElem, "_product",
+               lambda x, y: real(x, y) + DividedPowerElem.basis(K))
+
+
+def break_numerical_mul(mp):
+    real = basis.numerical_mul
+    for target in (basis, tate_k):
+        mp.setattr(target, "numerical_mul", lambda x, y: real(x, y) + NumericalPoly.basis(K))
+
+
+def break_dilation(mp):
+    real = LaurentPoly.dilated
+    mp.setattr(LaurentPoly, "dilated", lambda x, k: real(x, 4 if k == 3 else k))
+
+
+# (mutation, how to apply it, the suite of the first failing check)
+ROWS = [
+    ("_mul_series", break_kernel("_mul_series"), "corollary"),
+    ("inverse", break_kernel("inverse"), "prop1"),
+    ("exp", break_kernel("exp"), "prop1"),
+    ("log", break_kernel("log"), "corollary"),
+    ("div_exact", break_kernel("div_exact"), "renorm"),
+    ("bernoulli_minus",
+     lambda mp: break_result(mp, [series, verify, tate_h], "bernoulli_minus"), "corollary"),
+    ("expansions.expand", lambda mp: break_result(mp, [expansions], "expand"), "expansions"),
+    ("DividedPowerElem._product +1 at b_5", break_divided_powers, "exactness-h"),
+    ("numerical_mul +1 at beta_5", break_numerical_mul, "cartier"),
+    ("dilated gives psi^4 for psi^3", break_dilation, "adams"),
+]
+
+
+@pytest.mark.parametrize("apply,suite", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_a_broken_engine_fails_verify_all_in_the_named_suite(monkeypatch, capsys, apply, suite):
+    # a fresh Bernoulli cache, as in a new process, which the broken run may fill
+    monkeypatch.setattr(series, "_bernoulli_cache", [])
+    apply(monkeypatch)
+    code = main(["verify", "all", "--order", str(ORDER)])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    first_fail = next(line for line in out.splitlines() if line.startswith("  [FAIL] "))
+    assert first_fail.removeprefix("  [FAIL] ").split("/")[0] == suite, out

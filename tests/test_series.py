@@ -34,6 +34,7 @@ from tatecalc.series import (
     bernoulli_number,
     geometric_series,
     laurent_coeff_ring,
+    monomial_coords,
     poly_ring,
 )
 from tatecalc.tate_k import binomial_poly_series
@@ -154,6 +155,21 @@ def test_exp_bT_coefficients():
     e = TruncSeries.from_coeffs(ring, 1, [b], order=10).exp()
     for k in range(11):
         assert e.coeff(k) == MultiPoly(("b",), {(k,): Fraction(1, factorial(k))})
+
+
+def test_monomial_coords_reads_one_integer_per_power_or_none():
+    c_ring, b_ring = laurent_coeff_ring("c"), laurent_coeff_ring("b")
+    c = lambda coeffs: LaurentPoly("c", coeffs)
+    b = lambda coeffs: LaurentPoly("b", coeffs)
+    s = TruncSeries.from_coeffs(c_ring, -1, [c({1: 4}), c({0: 2}), c({-1: Fraction(1, 2)}),
+                                             c({-2: 3, 0: 1}), c_ring.zero])
+    assert monomial_coords(s, -1) == [4, 2, None, None, 0]
+    e = TruncSeries.from_coeffs(b_ring, 0, [b_ring.zero, b({1: 1})], order=6).exp()
+    assert monomial_coords(e, 1, divided=True) == [1] * 7  # b^k/k! = b_k
+    s = TruncSeries.from_coeffs(b_ring, 0, [b({0: 3}), b({1: Fraction(1, 2)}),
+                                            b({2: Fraction(1, 2)}), b({2: 1, 1: 1})])
+    assert monomial_coords(s, 1, divided=True) == [3, None, 1, None]
+    assert monomial_coords(s, 1) == [3, None, None, None]
 
 
 def test_log_one_minus_is_mercator():

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import tatecalc
-from tatecalc.errors import DomainError
 from tatecalc.parser import Bin, Num, Sym, Token
 from tatecalc.report import Check, VerificationReport
 from tatecalc.series import QQ, Ring
@@ -53,6 +52,7 @@ def _records():
         (Token("NUMBER", "1", 0), "kind"),
         (Bin("+", Num(1), Sym("c")), "op"),
         (Ring("R", 0, 1, QQ.div_int, QQ.from_int), "name"),
+        (GradedTSeries(Grading.TATE_H, 0, (1, 1)), "tag"),
     ]
 
 
@@ -76,8 +76,3 @@ def test_records_of_one_type_compare_and_hash_by_value():
 
 def test_check_repr_names_every_field():
     assert repr(Check("x")) == "Check(identity='x', first_defect=None, note=None)"
-
-
-def test_a_graded_series_needs_a_coordinate():
-    with pytest.raises(DomainError, match="at least one coordinate"):
-        GradedTSeries(Grading.TATE_H, 0, ())

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tatecalc.basis import DividedPowerElem
+from tatecalc.cli import main
 from tatecalc.errors import DomainError
 from tatecalc.laurent import LaurentPoly
 from tatecalc import tate_h
@@ -126,29 +127,6 @@ def test_graded_series_text(tag, low, coords, text):
     assert str(GradedTSeries(tag, low, coords)) == text
 
 
-def test_cohomological_support_constraint():
-    GradedTSeries(Grading.COH_H, -3, (1, 2, 0, 5))  # support k <= 0 is fine
-    with pytest.raises(DomainError):
-        GradedTSeries(Grading.COH_H, -1, (1, 0, 3))  # nonzero at k = 1
-
-
-def test_termwise_boundary():
-    g = tate_h.geom_cinv(4)
-    b = g.termwise_boundary()
-    assert b[0].is_zero()
-    for k in range(1, 5):
-        assert b[k] == DividedPowerElem.basis(k - 1)
-    with pytest.raises(DomainError):
-        tate_h.exp_bT(2).termwise_boundary()
-
-
-def test_kernel_forces_zero():
-    ok, _ = tate_h.kernel_forces_zero(GradedTSeries(Grading.TATE_H, 0, (5, 0, 0)))
-    assert ok
-    ok, k = tate_h.kernel_forces_zero(GradedTSeries(Grading.TATE_H, 0, (0, 0, 1)))
-    assert not ok and k == 2
-
-
 # -- the identity suites ---------------------------------------------------------------
 
 
@@ -162,6 +140,30 @@ def test_prop1_adversarial_mutation():
     report = tate_h.verify_prop1(8, defect=2)
     assert not report.passed
     assert "T^2" in report.first_defect
+    # a nonzero epsilon coordinate at T^k, k >= 1, has a nonzero boundary; at T^0 it has none
+    kernel = {d: tate_h.verify_prop1(8, defect=d).checks[2] for d in (0, 2)}
+    assert kernel[0].passed
+    assert kernel[2].first_defect == "T^2: nonzero coordinate 1 with nonzero boundary b_1"
+
+
+@pytest.mark.parametrize("kernel,func,label", [("inverse", "geom_cinv", "c^-5"),
+                                                ("exp", "exp_bT", "b_5")])
+def test_a_malformed_coefficient_fails_each_check_and_is_a_typed_eval_error(
+        monkeypatch, capsys, kernel, func, label):
+    real = getattr(TruncSeries, kernel)
+
+    def plus_one_at_5(s):
+        out = real(s)
+        coeffs = list(out.coeffs)
+        coeffs[5] = coeffs[5] + out.ring.one
+        return TruncSeries(out.ring, out.low, out.order, coeffs, out.var)
+
+    monkeypatch.setattr(TruncSeries, kernel, plus_one_at_5)
+    defect = f"T^5: coefficient is not an integer multiple of {label}"
+    assert [c.first_defect for c in tate_h.verify_prop1(8).checks] == [defect] * 3
+    assert main(["verify", "prop1", "--order", "8"]) == 1
+    assert main(["eval", f"{func}()", "--order", "8"]) == 2
+    assert capsys.readouterr().err == f"error: {defect}\n"
 
 
 def test_prop1_requires_positive_order():
