@@ -8,7 +8,9 @@ structural property of the value rather than a mode flag.
 Products are sums of products: `accumulator` collects any number of them as
 one dense list of integer numerators over one common denominator
 (`DenseAccumulator`) and normalises once, and `__mul__` is the one-product
-case.  The series kernel uses the same accumulator per output coefficient, so
+case, or a shift and a scale when one factor has a single term.  Ring
+operations build their results with `_canonical`, which skips the public
+constructor's per-coefficient check.  The series kernel uses the same accumulator per output coefficient, so
 every one-variable series the engine builds (over Q[b^±1], Q[x^±1],
 Q[beta^±1], Z[c^±1], ...) runs on it.  `binomials` gives the falling-factorial
 binomials binom(x, k) of a Laurent polynomial x by their running recurrence.
@@ -50,6 +52,17 @@ class LaurentPoly:
         self.coeffs = clean
         self._int_cache: tuple[list[tuple[int, int]], int] | None = None
 
+    @staticmethod
+    def _canonical(var: str, coeffs: dict[int, Scalar]) -> LaurentPoly:
+        """A LaurentPoly holding `coeffs` as given, for ring-operation results
+        whose coefficients are canonical already: none is zero and every
+        integral one is an int.  The public constructor checks each one."""
+        out = object.__new__(LaurentPoly)
+        out.var = var
+        out.coeffs = coeffs
+        out._int_cache = None
+        return out
+
     @classmethod
     def zero(cls, var: str) -> LaurentPoly:
         return cls(var)
@@ -90,7 +103,7 @@ class LaurentPoly:
     __hash__ = None  # mutable dict inside; values are compared, not hashed
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.var, {e: -v for e, v in self.coeffs.items()})
+        return LaurentPoly._canonical(self.var, {e: -v for e, v in self.coeffs.items()})
 
     def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -100,8 +113,13 @@ class LaurentPoly:
         self._require_same(other)
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
-            out[e] = out.get(e, 0) + v
-        return LaurentPoly(self.var, out)
+            if e in out:  # only a sum of two terms can vanish or become integral
+                v = canon_scalar(out[e] + v)
+                if not v:
+                    del out[e]
+                    continue
+            out[e] = v
+        return LaurentPoly._canonical(self.var, out)
 
     __radd__ = __add__
 
@@ -138,11 +156,25 @@ class LaurentPoly:
                 return NotImplemented
             return LaurentPoly(self.var, {e: v * other for e, v in self.coeffs.items()})
         self._require_same(other)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return self._monomial_mul(other)
         acc = LaurentPoly.accumulator(self.var)
         acc.add(self, other)
         return acc.value()
 
     __rmul__ = __mul__
+
+    def _monomial_mul(self, other: LaurentPoly) -> LaurentPoly:
+        """A product with a one-term factor as a shift and a scale, with no
+        dense list; a span over MAX_SPAN is refused as `DenseAccumulator`
+        refuses it."""
+        poly, mono = (self, other) if len(other.coeffs) == 1 else (other, self)
+        lo, hi = poly.lo() + mono.lo(), poly.hi() + mono.hi()
+        if hi - lo >= MAX_SPAN:
+            raise _span_error(self.var, lo, hi)
+        (k, c), = mono.coeffs.items()
+        return LaurentPoly._canonical(
+            self.var, {e + k: canon_scalar(v * c) for e, v in poly.coeffs.items()})
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -160,11 +192,11 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by var^k."""
-        return LaurentPoly(self.var, {e + k: v for e, v in self.coeffs.items()})
+        return LaurentPoly._canonical(self.var, {e + k: v for e, v in self.coeffs.items()})
 
     def dilated(self, k: int) -> LaurentPoly:
         """Exponent dilation var^n -> var^(k*n); a ring endomorphism for k >= 1."""
-        return LaurentPoly(self.var, {e * k: v for e, v in self.coeffs.items()})
+        return LaurentPoly._canonical(self.var, {e * k: v for e, v in self.coeffs.items()})
 
     def binomials(self, n: int) -> list[LaurentPoly]:
         """[binom(self, 0), ..., binom(self, n)], the falling-factorial binomials
@@ -316,20 +348,16 @@ class DenseAccumulator:
 
     def value(self) -> LaurentPoly:
         """sum_i nums[i]/den var^(lo+i), integral coefficients as int."""
-        out = object.__new__(LaurentPoly)
-        out.var = self.var
-        out._int_cache = None
         den = self.den
         if den == 1:
-            out.coeffs = {e: c for e, c in enumerate(self.nums, self.lo) if c}
-            return out
-        coeffs = {}
-        for e, c in enumerate(self.nums, self.lo):
-            if c:
-                q, r = divmod(c, den)
-                coeffs[e] = Fraction(c, den) if r else q
-        out.coeffs = coeffs
-        return out
+            coeffs = {e: c for e, c in enumerate(self.nums, self.lo) if c}
+        else:
+            coeffs = {}
+            for e, c in enumerate(self.nums, self.lo):
+                if c:
+                    q, r = divmod(c, den)
+                    coeffs[e] = Fraction(c, den) if r else q
+        return LaurentPoly._canonical(self.var, coeffs)
 
 
 def var_power(var: str, e: int) -> str:

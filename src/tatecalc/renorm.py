@@ -91,14 +91,22 @@ def b_over_beta(order: int) -> TruncSeries:
 
 def specialize_diagonal(s: TruncSeries) -> TruncSeries:
     """Substitute y := x in a series built at order s.order, landing in Q[x]:
-    x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j)."""
+    x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j).  Each
+    coefficient is summed as integer numerators over its common denominator
+    and normalised once."""
     k = s.order + 3
 
     def diagonal(p: LaurentPoly) -> LaurentPoly:
-        out: dict[int, Fraction | int] = {}
-        for e, v in p.coeffs.items():
-            out[e % k + e // k] = out.get(e % k + e // k, 0) + v
-        return LaurentPoly("x", out)
+        pairs, den = p._int_form()
+        acc = LaurentPoly.accumulator("x")
+        if pairs:
+            decoded = [(e % k + e // k, v) for e, v in pairs]
+            acc.lo = min(e for e, _ in decoded)
+            acc.nums = [0] * (max(e for e, _ in decoded) - acc.lo + 1)
+            for e, v in decoded:
+                acc.nums[e - acc.lo] += v
+            acc.den = den
+        return acc.value()
 
     return s.map_coeffs(diagonal)
 

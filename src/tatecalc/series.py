@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .arith import power
@@ -191,13 +192,17 @@ def _accumulate(ring: Ring, n: int, terms: list[tuple[int, Any]],
         t.append(x)
         if x == zero:
             continue
+        if fold:
+            for j, y in terms:
+                i = k + j
+                if i >= n:
+                    break
+                acc[i] = acc[i] + x * y
+            continue
         for j, y in terms:
             i = k + j
             if i >= n:
                 break
-            if fold:
-                acc[i] = acc[i] + x * y
-                continue
             s = acc[i]
             if s is None:
                 s = acc[i] = new()
@@ -268,12 +273,15 @@ class TruncSeries:
             return self.ring.zero
         return self.coeffs[k - self.low]
 
+    def _window(self, lo: int, top: int) -> list:
+        """The coefficients of var^lo..var^top, for lo <= low and top <= order."""
+        pad = min(self.low, top + 1) - lo
+        return [self.ring.zero] * pad + list(self.coeffs[:max(top - self.low + 1, 0)])
+
     def valuation(self) -> int | None:
         """Exponent of the first nonzero known coefficient, or None if all vanish."""
-        for k in range(self.low, self.order + 1):
-            if not self.ring.is_zero(self.coeffs[k - self.low]):
-                return k
-        return None
+        zero = self.ring.zero
+        return next((k for k, c in enumerate(self.coeffs, self.low) if not c == zero), None)
 
     def _require_ring(self, other: TruncSeries) -> None:
         if self.ring.name != other.ring.name:
@@ -293,11 +301,19 @@ class TruncSeries:
     __hash__ = None
 
     def agrees_with(self, other: TruncSeries, through: int | None = None) -> bool:
-        """Coefficientwise equality through min of the reliable orders (or `through`)."""
+        """Coefficientwise equality through min of the reliable orders (or `through`).
+
+        A `through` past either order is a PrecisionError, raised by `coeff`
+        once the coefficients up to that order agree."""
         self._require_ring(other)
-        top = min(self.order, other.order) if through is None else through
+        reliable = min(self.order, other.order)
+        top = reliable if through is None else through
         lo = min(self.low, other.low)
-        return all(self.coeff(k) == other.coeff(k) for k in range(lo, top + 1))
+        if self._window(lo, min(top, reliable)) != other._window(lo, min(top, reliable)):
+            return False
+        if top > reliable:  # the series reliable to `reliable` raises
+            (self if self.order == reliable else other).coeff(reliable + 1)
+        return True
 
     def is_one_series(self) -> bool:
         return self.agrees_with(TruncSeries.one(self.ring, self.order, self.var))
@@ -315,7 +331,7 @@ class TruncSeries:
         order = min(self.order, other.order)
         if order < low:
             raise DomainError("operands share no reliable coefficient range")
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(low, order + 1)]
+        coeffs = list(map(add, self._window(low, order), other._window(low, order)))
         return TruncSeries(self.ring, low, order, coeffs, self.var)
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:

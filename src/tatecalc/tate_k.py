@@ -10,7 +10,9 @@ The quotient map mirrors the H-side boundary through the convention
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import sub
 from typing import NamedTuple
 
 from .arith import power
@@ -44,21 +46,58 @@ MAX_SPLIT_SPAN = 1 << 18
 
 
 def _split_at_one(num: LaurentPoly) -> tuple[int, LaurentPoly]:
-    """(a, Q) with num = a + (1-q) * Q exactly and a = num(1).
+    """(a, Q) with num = a + (1-q) * Q exactly and a = num(1)."""
+    lo, dense = _dense_at_one(num)
+    a, quo = _split_dense(lo, dense)
+    return a, _from_dense(lo, quo)
 
-    Q's coefficient at q^e is the prefix sum of num's coefficients through
-    q^e, less a from q^0 on (synthetic division by the linear factor).
-    """
+
+def _dense_at_one(num: LaurentPoly) -> tuple[int, list[int]]:
+    """(lo, num's coefficients at q^lo..q^hi) with lo = min(num.lo(), 0) and
+    hi = max(num.hi(), 0), the window of a split at one; a quotient spanning
+    more than MAX_SPLIT_SPAN exponents is refused."""
     lo, hi = min(num.lo(), 0), max(num.hi(), 0)
     if hi - lo > MAX_SPLIT_SPAN:
         raise DomainError(f"the quotient by 1-q over q^{lo}..q^{hi - 1} spans more than "
                           f"{MAX_SPLIT_SPAN} exponents")
-    a = sum(num.coeffs.values())
-    quo, prefix = {}, 0
-    for e in range(lo, hi):
-        prefix += num.coeff(e)
-        quo[e] = prefix - a if e >= 0 else prefix
-    return a, LaurentPoly("q", quo)
+    dense = [0] * (hi - lo + 1)
+    for e, v in num.coeffs.items():
+        dense[e - lo] = v
+    return lo, dense
+
+
+def _split_dense(lo: int, dense: list[int]) -> tuple[int, list[int]]:
+    """`_split_at_one` on a window from q^lo that holds q^0: Q's coefficient
+    at q^e is the prefix sum of the coefficients through q^e, less a from q^0
+    on (synthetic division by the linear factor).  Q's window also starts at
+    q^lo and holds q^0, so splits can follow one another."""
+    a = sum(dense)
+    quo = list(accumulate(dense[:-1]))
+    if a:
+        quo[-lo:] = map(sub, quo[-lo:], repeat(a))
+    if len(quo) + lo == 0:  # the window ended at q^0
+        quo.append(0)
+    return a, quo
+
+
+def _from_dense(lo: int, dense: list[int]) -> LaurentPoly:
+    return LaurentPoly._canonical("q", {e: v for e, v in enumerate(dense, lo) if v})
+
+
+def _one_minus_q_pow(d: int) -> LaurentPoly:
+    """(1-q)^d for d >= 0, its coefficients (-1)^i C(d, i) by their running ratio."""
+    coeffs, c = {}, 1
+    for i in range(d + 1):
+        coeffs[i] = c
+        c = c * (i - d) // (i + 1)
+    return LaurentPoly._canonical("q", coeffs)
+
+
+def _reduce(num: LaurentPoly, denom_pow: int) -> tuple[LaurentPoly, int]:
+    """(num, denom_pow) with each factor 1-q that divides num cancelled."""
+    while denom_pow > 0 and num.coeffs and sum(num.coeffs.values()) == 0:
+        num, denom_pow = _split_at_one(num)[1], denom_pow - 1
+    return num, denom_pow if num.coeffs else 0
 
 
 class TateKElem:
@@ -70,12 +109,15 @@ class TateKElem:
         _check_q(num)
         if denom_pow < 0:
             raise DomainError("denominator power must be non-negative")
-        while denom_pow > 0 and not num.is_zero() and sum(num.coeffs.values()) == 0:
-            num, denom_pow = _split_at_one(num)[1], denom_pow - 1
-        if num.is_zero():
-            denom_pow = 0
-        self.num = num
-        self.denom_pow = denom_pow
+        self.num, self.denom_pow = _reduce(num, denom_pow)
+
+    @classmethod
+    def _reduced(cls, num: LaurentPoly, denom_pow: int) -> TateKElem:
+        """A ring operation's result: its numerator is integral in q already,
+        so only the reduction runs."""
+        out = object.__new__(cls)
+        out.num, out.denom_pow = _reduce(num, denom_pow)
+        return out
 
     @classmethod
     def one(cls) -> TateKElem:
@@ -112,16 +154,18 @@ class TateKElem:
         raise TypeError(f"cannot coerce {other!r} into the Tate K ring")
 
     def __neg__(self) -> TateKElem:
-        return TateKElem(-self.num, self.denom_pow)
+        return TateKElem._reduced(-self.num, self.denom_pow)
 
     def __add__(self, other) -> TateKElem:
+        """Over the common pole order: the numerator with the lower one gains
+        the missing power of (1-q)."""
         o = self._coerce(other)
-        m = max(self.denom_pow, o.denom_pow)
-        num = (
-            self.num * ONE_MINUS_Q ** (m - self.denom_pow)
-            + o.num * ONE_MINUS_Q ** (m - o.denom_pow)
-        )
-        return TateKElem(num, m)
+        d = self.denom_pow - o.denom_pow
+        if d == 0:
+            return TateKElem._reduced(self.num + o.num, self.denom_pow)
+        if d > 0:
+            return TateKElem._reduced(self.num + o.num * _one_minus_q_pow(d), self.denom_pow)
+        return TateKElem._reduced(self.num * _one_minus_q_pow(-d) + o.num, o.denom_pow)
 
     __radd__ = __add__
 
@@ -133,9 +177,9 @@ class TateKElem:
 
     def __mul__(self, other) -> TateKElem:
         if isinstance(other, int):
-            return TateKElem(self.num * other, self.denom_pow)
+            return TateKElem._reduced(self.num * other, self.denom_pow)
         o = self._coerce(other)
-        return TateKElem(self.num * o.num, self.denom_pow + o.denom_pow)
+        return TateKElem._reduced(self.num * o.num, self.denom_pow + o.denom_pow)
 
     __rmul__ = __mul__
 
@@ -155,7 +199,7 @@ class TateKElem:
         flips = self.denom_pow - extra
         inv_num = LaurentPoly("q", {-e: v})
         if flips >= 0:
-            return TateKElem(inv_num * ONE_MINUS_Q**flips, 0)
+            return TateKElem(inv_num * _one_minus_q_pow(flips), 0)
         return TateKElem(inv_num, -flips)
 
     def __pow__(self, n: int) -> TateKElem:
@@ -212,10 +256,13 @@ def partial_fractions(x: TateKElem) -> PartialFractionForm:
     the numerator is integral.
     """
     num, k = x.num, x.denom_pow
+    if not k:
+        return PartialFractionForm(poly_part=num, pole_coeffs=())
+    lo, dense = _dense_at_one(num)
     poles = [0] * k
     for j in range(k, 0, -1):
-        poles[j - 1], num = _split_at_one(num)
-    return PartialFractionForm(poly_part=num, pole_coeffs=tuple(poles))
+        poles[j - 1], dense = _split_dense(lo, dense)
+    return PartialFractionForm(poly_part=_from_dense(lo, dense), pole_coeffs=tuple(poles))
 
 
 def quotient_to_betas(x: TateKElem) -> NumericalPoly:
@@ -236,11 +283,10 @@ def binomial_poly_series(order: int, negate: bool = False) -> TruncSeries:
     return TruncSeries(laurent_coeff_ring("beta"), 0, order, beta.binomials(order))
 
 
-def cartier_check(order0: int, order1: int) -> VerificationReport:
-    """The character relation beta(T0 +_Gm T1) = beta(T0) * beta(T1) with
-    T0 +_Gm T1 = T0 + T1 + T0*T1, compared coefficientwise in Z[beta_*]."""
-    if order0 < 1 or order1 < 1:
-        raise DomainError("bi-orders must be at least 1")
+def _cartier_lhs(order0: int, order1: int) -> dict[tuple[int, int], NumericalPoly]:
+    """beta(T0 +_Gm T1) = sum_k beta_k (T0 + T1 + T0*T1)^k through T0^order0
+    T1^order1: its beta_k coordinate at T0^i T1^j is the T0^i T1^j coefficient
+    of the k-th power, filled per (i, j) from the power recurrence."""
 
     def trunc_mul(a: dict, b: dict) -> dict:
         out: dict[tuple[int, int], int] = {}
@@ -252,16 +298,24 @@ def cartier_check(order0: int, order1: int) -> VerificationReport:
         return {e: v for e, v in out.items() if v}
 
     group_law = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
-    lhs: dict[tuple[int, int], NumericalPoly] = {}
+    coords: dict[tuple[int, int], dict[int, int]] = {}
     power = {(0, 0): 1}
     for k in range(order0 + order1 + 1):
-        beta_k = NumericalPoly.basis(k)
         for e, v in power.items():
-            lhs[e] = lhs.get(e, NumericalPoly.zero()) + beta_k * v
+            coords.setdefault(e, {})[k] = v
         power = trunc_mul(power, group_law)
         if not power:
             break
+    return {e: NumericalPoly(c) for e, c in coords.items()}
 
+
+def cartier_check(order0: int, order1: int) -> VerificationReport:
+    """The character relation beta(T0 +_Gm T1) = beta(T0) * beta(T1) with
+    T0 +_Gm T1 = T0 + T1 + T0*T1, compared coefficientwise in Z[beta_*]; the
+    right side is `numerical_mul`'s product of beta_i and beta_j."""
+    if order0 < 1 or order1 < 1:
+        raise DomainError("bi-orders must be at least 1")
+    lhs = _cartier_lhs(order0, order1)
     products = (
         (i, j, numerical_mul(NumericalPoly.basis(i), NumericalPoly.basis(j)))
         for i in range(order0 + 1)

@@ -40,10 +40,16 @@ _T = TypeVar("_T")
 
 
 def rand_laurent(rng: random.Random, var: str, window: tuple[int, int]) -> LaurentPoly:
+    """1 to 5 terms, exponents in the closed `window`, coefficients in -9..9.
+
+    `randrange(a, b + 1)` is how `Random.randint(a, b)` is defined, so the
+    stream is randint's, one call layer cheaper per draw."""
+    draw = rng.randrange
+    lo, hi = window[0], window[1] + 1
     coeffs = {}
-    for _ in range(rng.randint(1, 5)):
-        e = rng.randint(*window)
-        coeffs[e] = rng.randint(-9, 9)
+    for _ in range(draw(1, 6)):
+        e = draw(lo, hi)
+        coeffs[e] = draw(-9, 10)
     return LaurentPoly(var, coeffs)
 
 

@@ -153,3 +153,74 @@ def test_rendering():
     assert str(lp("c", {0: 1, -1: 2, 3: -1})) == "2*c^-1 + 1 - c^3"
     assert str(LaurentPoly.zero("c")) == "0"
     assert lp("q", {-1: Fraction(1, 2)}).to_json() == [[-1, "1", "2"]]
+
+
+def is_canonical(p: LaurentPoly) -> bool:
+    """No coefficient is zero, and an integral one is stored as an int."""
+    return all(
+        v != 0 and (type(v) is int or (type(v) is Fraction and v.denominator != 1))
+        for v in p.coeffs.values()
+    )
+
+
+exact_dicts = st.dictionaries(st.integers(-8, 8), scalars, max_size=6)
+
+
+@given(exact_dicts, exact_dicts, st.integers(-4, 4), st.integers(1, 4))
+def test_every_ring_operation_result_is_canonical(a, b, k, m):
+    # int and Fraction operands: sums and products of two Fractions can be
+    # integral, and a sum can cancel to zero
+    x, y = lp("q", a), lp("q", b)
+    mono = lp("q", {k: Fraction(1, 2)})
+    results = [x + y, x - y, -x, x * y, x * mono, mono * y, x.shifted(k), x.dilated(m),
+               x + 1, 1 - x, x * 3, *x.binomials(3)]
+    for result in results:
+        assert is_canonical(result), result.coeffs
+
+
+@given(coeff_dicts, coeff_dicts)
+def test_pi_minus_and_its_rota_baxter_terms_are_canonical(a, b):
+    from tatecalc import tate_h
+    x, y = lp("c", a), lp("c", b)
+    px = tate_h.pi_minus(x)
+    assert is_canonical(px)
+    assert is_canonical(tate_h.rota_baxter_defect(x, y))
+    assert px == LaurentPoly("c", {e: v for e, v in a.items() if e < 0})
+
+
+def reference_product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    out = {}
+    for e, u in x.coeffs.items():
+        for f, v in y.coeffs.items():
+            out[e + f] = out.get(e + f, 0) + u * v
+    return LaurentPoly(x.var, out)
+
+
+@given(exact_dicts, st.integers(-6, 6), scalars.filter(bool))
+def test_a_product_with_a_one_term_factor_is_a_shift_and_a_scale(a, e, v):
+    # hypothesis runs many examples per test, so the patch is undone by hand
+    x, mono = lp("q", a), lp("q", {e: v})
+    real = laurent.DenseAccumulator
+
+    def refuse(var):
+        raise AssertionError("a one-term product built a dense accumulator")
+
+    laurent.DenseAccumulator = refuse
+    try:
+        left, right = x * mono, mono * x
+    finally:
+        laurent.DenseAccumulator = real
+    assert left == right == reference_product(x, mono)
+
+
+def test_a_wide_one_term_product_needs_no_dense_list_and_keeps_the_span_bound(monkeypatch):
+    def refuse(var):
+        raise AssertionError("a one-term product built a dense accumulator")
+
+    monkeypatch.setattr(laurent, "DenseAccumulator", refuse)
+    wide = LaurentPoly("q", {0: -1, 4000000: 1})
+    assert wide * LaurentPoly("q", {3: -2}) == LaurentPoly("q", {3: 2, 4000003: -2})
+    # (1 + q^1000000000) * q still spans more than MAX_SPAN, and says so as before
+    with pytest.raises(DomainError, match=r"^a product over q\^1..q\^1000000001 spans more "
+                                          r"than 4194304 exponents$"):
+        LaurentPoly("q", {0: 1, 10**9: 1}) * LaurentPoly("q", {1: 1})

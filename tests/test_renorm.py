@@ -135,3 +135,22 @@ def test_three_ratio_consistency_order_24():
 def test_verify_renorm_suite():
     rep = renorm.verify_renorm(12)
     assert rep.passed, str(rep)
+
+
+def diagonal_by_fraction_sums(s: TruncSeries) -> list[LaurentPoly]:
+    """y := x term by term: x^(i+Kj) -> x^(i+j), summed as Fractions."""
+    k = s.order + 3
+    out = []
+    for p in s.coeffs:
+        terms = {}
+        for e, v in p.coeffs.items():
+            terms[e % k + e // k] = terms.get(e % k + e // k, 0) + Fraction(v)
+        out.append(LaurentPoly("x", terms))
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 12])
+def test_diagonal_decode_matches_fraction_sums(order):
+    for s in (renorm.b_over_beta(order), renorm.beta_over_qinv(order), renorm.b_over_cinv(order)):
+        got = renorm.specialize_diagonal(s)
+        assert [c.coeffs for c in got.coeffs] == [c.coeffs for c in diagonal_by_fraction_sums(s)]

@@ -646,3 +646,19 @@ def test_add_sub_round_trip(low, coeffs):
     z = s - s
     assert z.valuation() is None
     assert (s + z).agrees_with(s)
+
+
+def test_agreement_past_a_reliable_order_raises_as_a_scan_would():
+    # a mismatch at or below both orders is False; past them, the series
+    # reliable to the lower order raises, naming its own order
+    a = TruncSeries.from_coeffs(ZZ, 0, [1, 2, 3], order=4)
+    b = TruncSeries.from_coeffs(ZZ, -1, [0, 1, 2, 3], order=6)
+    assert a.agrees_with(b) and b.agrees_with(a)
+    assert a.agrees_with(b, through=-3)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(PrecisionError, match="^coefficient of T\\^5 requested but series "
+                                                 "is reliable only to order 4$"):
+            left.agrees_with(right, through=5)
+    c = TruncSeries.from_coeffs(ZZ, 0, [1, 5], order=4)
+    assert not a.agrees_with(c, through=9) and not c.agrees_with(a, through=9)
+    assert a + b == b + a == TruncSeries.from_coeffs(ZZ, -1, [0, 2, 4, 6], order=4)

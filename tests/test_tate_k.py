@@ -59,6 +59,54 @@ def test_normalization_invariant_random():
             assert r.num.is_integral()
 
 
+def test_sums_and_differences_match_the_power_of_one_minus_q_oracle():
+    # over the common pole order m each numerator gains (1-q)^(m - own pole),
+    # here by ONE_MINUS_Q ** d and the public constructor
+    rng = random.Random(41)
+    for _ in range(300):
+        x = TateKElem(rand_tatek(rng).num, rng.randint(0, 8))
+        y = TateKElem(rand_tatek(rng).num, rng.randint(0, 8))
+        m = max(x.denom_pow, y.denom_pow)
+        lift_x = x.num * ONE_MINUS_Q ** (m - x.denom_pow)
+        lift_y = y.num * ONE_MINUS_Q ** (m - y.denom_pow)
+        for got, num in ((x + y, lift_x + lift_y), (x - y, lift_x - lift_y)):
+            want = TateKElem(num, m)
+            assert (got.num.coeffs, got.denom_pow) == (want.num.coeffs, want.denom_pow)
+
+
+def test_the_public_entry_points_still_check_their_input():
+    half = q_poly({1: Fraction(1, 2)})
+    in_c = LaurentPoly("c", {1: 1})
+    for bad in (half, in_c):
+        with pytest.raises(DomainError):
+            TateKElem(bad)
+        with pytest.raises(DomainError):
+            TateKElem.one() + bad
+        with pytest.raises(DomainError):
+            TateKElem(q_poly({0: 1}), 2) * bad
+        with pytest.raises(DomainError):
+            tate_k.adams_on_laurent(2, bad)
+
+
+def test_a_wide_numerator_over_a_pole_is_refused_with_no_dense_product(monkeypatch):
+    # (q^4000000 - 1) * (1-q)^-1: the product with the one-term numerator of
+    # (1-q)^-1 is a shift, and the split at one refuses the span at once
+    from tatecalc import laurent
+
+    def refuse(var):
+        raise AssertionError("a one-term product built a dense accumulator")
+
+    monkeypatch.setattr(laurent, "DenseAccumulator", refuse)
+    with pytest.raises(DomainError, match="^the quotient by 1-q over q\\^0..q\\^3999999 spans "
+                                          "more than 262144 exponents$"):
+        TateKElem(q_poly({4000000: 1, 0: -1})) * TateKElem(LaurentPoly.one("q"), 1)
+
+
+def test_one_minus_q_powers():
+    for d in range(13):
+        assert tate_k._one_minus_q_pow(d) == ONE_MINUS_Q ** d
+
+
 def test_inverse_of_units():
     # (1-q) has inverse with denominator power 1
     assert TateKElem(ONE_MINUS_Q).inverse() == TateKElem(LaurentPoly.one("q"), 1)
@@ -84,6 +132,22 @@ def test_split_at_one_is_exact():
         assert type(a) is int and a == sum(num.coeffs.values())
         assert quo.is_integral()
         assert num == a + ONE_MINUS_Q * quo
+
+
+def test_partial_fractions_match_one_split_at_a_time():
+    # the splits run on one dense window; the oracle splits a LaurentPoly per
+    # pole, including numerators with no term at or above q^0
+    rng = random.Random(43)
+    cases = [TateKElem(q_poly({-3: 1, -1: 2}), 4), TateKElem(q_poly({-5: 3}), 6),
+             TateKElem(q_poly({4: 1, 6: -2}), 5), TateKElem(q_poly({0: 7}), 3)]
+    cases += [TateKElem(rand_tatek(rng, window=(-8, 8)).num, rng.randint(0, 8))
+              for _ in range(300)]
+    for x in cases:
+        num, poles = x.num, [0] * x.denom_pow
+        for j in range(x.denom_pow, 0, -1):
+            poles[j - 1], num = tate_k._split_at_one(num)
+        pf = tate_k.partial_fractions(x)
+        assert (pf.poly_part.coeffs, pf.pole_coeffs) == (num.coeffs, tuple(poles)), x
 
 
 def test_a_split_spanning_more_than_the_bound_is_refused(monkeypatch):
@@ -204,6 +268,30 @@ def test_cartier_frozen_coefficient():
     assert numerical_mul(NumericalPoly.basis(1), NumericalPoly.basis(1)) == NumericalPoly(
         {1: 1, 2: 2}
     )
+
+
+def cartier_lhs_by_products(order0, order1):
+    """beta(T0 +Gm T1) summed as beta_k times each coefficient of the k-th
+    power of the group law, one NumericalPoly product and sum per term."""
+    power, lhs = {(0, 0): 1}, {}
+    for k in range(order0 + order1 + 1):
+        for e, v in power.items():
+            lhs[e] = lhs.get(e, NumericalPoly.zero()) + NumericalPoly.basis(k) * v
+        nxt = {}
+        for (i, j), u in power.items():
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                if i + di <= order0 and j + dj <= order1:
+                    nxt[(i + di, j + dj)] = nxt.get((i + di, j + dj), 0) + u
+        power = nxt
+    return lhs
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (3, 7), (8, 8)])
+def test_cartier_coordinates_match_the_product_sum(orders):
+    got = tate_k._cartier_lhs(*orders)
+    want = cartier_lhs_by_products(*orders)
+    assert got.keys() == want.keys()
+    assert all(got[e].coords == want[e].coords for e in want)
 
 
 def test_cartier_check_full():

@@ -1,8 +1,11 @@
 """The verdict record and the order each verification suite runs at."""
 
+import random
+
 import pytest
 
 from tatecalc import verify
+from tatecalc.laurent import LaurentPoly
 from tatecalc.report import Check
 
 # suite -> (floor, cap), as the report notes state them
@@ -45,3 +48,30 @@ def test_run_suite_hands_an_uncapped_suite_the_requested_order(name, monkeypatch
         report = verify.run_suite(name, order, seed=1)
         assert seen[-1] == order
         assert report.notes == ()
+
+
+def rand_laurent_by_randint(rng, var, window):
+    coeffs = {}
+    for _ in range(rng.randint(1, 5)):
+        e = rng.randint(*window)
+        coeffs[e] = rng.randint(-9, 9)
+    return LaurentPoly(var, coeffs)
+
+
+# every (variable, window) the suites draw from: rota-baxter, exactness-h (two),
+# exactness-k and adams (rand_tatek's default), expansions, adams' composition
+# and adams' series composition
+SUITE_WINDOWS = [("c", (-8, 8)), ("c", (-10, 10)), ("c", (0, 10)), ("q", (-6, 6)),
+                 ("q", (-4, 4)), ("q", (-5, 5)), ("q", (-3, 3))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_draws_follow_the_randint_stream(seed):
+    mine, ref = random.Random(seed), random.Random(seed)
+    for var, window in SUITE_WINDOWS:
+        for _ in range(40):
+            got = verify.rand_laurent(mine, var, window)
+            want = rand_laurent_by_randint(ref, var, window)
+            assert (got.var, got.coeffs) == (want.var, want.coeffs)
+            assert list(got.coeffs) == list(want.coeffs)
+        assert mine.getstate() == ref.getstate()
