@@ -21,12 +21,10 @@ binomials C(i-b-1, i) when b < 0).
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
-from typing import Iterator
 
 from .errors import DomainError, PrecisionError
 from .series import TruncSeries, ZZ
-from .tate_k import TateKElem
+from .tate_k import TateKElem, binomial_row
 
 
 # An expansion is stored densely from its lowest exponent, and at infinity q^e
@@ -59,13 +57,10 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
     """Apply the puncture's expansion homomorphism, exact through `order`.
 
     Sums the closed forms of the module docstring term by term into one dense
-    list.  A short row of binomial coefficients with small b comes from a
-    cache of fixed size, any other from the running ratio started at c_e.  At
-    0, when the pole order k is at most the number of terms, it divides the
-    numerator by 1-q k times instead, each time by a prefix sum, which costs
-    no more than a row per term.  The result starts at its first nonzero
-    coefficient (the zero series starts at 0).  One that would start
-    below t^-MAX_DEPTH, or run above order MAX_ORDER, is refused.
+    list, each row of binomial coefficients by the running ratio started at
+    c_e.  The result starts at its first nonzero coefficient (the zero series
+    starts at 0).  One that would start below t^-MAX_DEPTH, or run above order
+    MAX_ORDER, is refused.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
@@ -85,56 +80,18 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
             f"below the bound {puncture.variable}^-{MAX_DEPTH}"
         )
     coeffs = [0] * (order - low + 1)
-    if puncture is Puncture.ZERO and k <= len(x.num.coeffs):
-        for e, c in x.num.coeffs.items():
-            if e <= order:
-                coeffs[e - low] = c
-        for _ in range(k):  # a prefix sum divides by 1-q
-            coeffs = list(accumulate(coeffs))
-    else:
-        for e, c in x.num.coeffs.items():
-            # c q^e (1-q)^-k = c t^a (1-t)^b, with c negated at infinity for odd e
-            if puncture is Puncture.ZERO:
-                a, b = e, -k
-            elif puncture is Puncture.ONE:
-                a, b = -k, e
-            else:
-                a, b, c = k - e, e, -c if e % 2 else c
-            n = order - a + 1  # the row's length: (-1)^i C(b, i) for i < n
-            if n <= 0:
-                continue
-            if -_ROW_CACHE_B <= b <= _ROW_CACHE_B and n <= _ROW_CACHE_LEN:
-                for i, v in enumerate(_cached_row(b)[:n], a - low):
-                    coeffs[i] += c * v
-            else:
-                for i, v in enumerate(_binomial_row(b, n, c), a - low):
-                    coeffs[i] += v
+    for e, c in x.num.coeffs.items():
+        # c q^e (1-q)^-k = c t^a (1-t)^b, with c negated at infinity for odd e
+        if puncture is Puncture.ZERO:
+            a, b = e, -k
+        elif puncture is Puncture.ONE:
+            a, b = -k, e
+        else:
+            a, b, c = k - e, e, -c if e % 2 else c
+        # the row (-1)^i C(b, i) for i <= order - a, scaled by c
+        for i, v in enumerate(binomial_row(b, order - a + 1, c), a - low):
+            coeffs[i] += v
     return TruncSeries(ZZ, low, order, coeffs, puncture.variable).trimmed()
-
-
-# (1-t)^b for |b| <= _ROW_CACHE_B through t^(_ROW_CACHE_LEN - 1): at most
-# 2 * 32 + 1 = 65 rows of at most 128 integers, each below 2^110, whatever the
-# input.  `verify all` expands with |b| <= 9 to order 258 at most.
-_ROW_CACHE_B = 32
-_ROW_CACHE_LEN = 128
-_row_cache: dict[int, tuple[int, ...]] = {}
-
-
-def _cached_row(b: int) -> tuple[int, ...]:
-    row = _row_cache.get(b)
-    if row is None:
-        row = _row_cache[b] = tuple(_binomial_row(b, _ROW_CACHE_LEN, 1))
-    return row
-
-
-def _binomial_row(b: int, n: int, c: int) -> Iterator[int]:
-    """c (-1)^i C(b, i) for i < n, by the running ratio; when b >= 0 it stops
-    at i = b, past which every coefficient is zero."""
-    if b >= 0:
-        n = min(n, b + 1)
-    for i in range(n):
-        yield c
-        c = c * (i - b) // (i + 1)
 
 
 def adams_on_series(k: int, x: TruncSeries, order: int) -> TruncSeries:

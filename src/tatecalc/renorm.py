@@ -98,15 +98,12 @@ def specialize_diagonal(s: TruncSeries) -> TruncSeries:
 
     def diagonal(p: LaurentPoly) -> LaurentPoly:
         pairs, den = p._int_form()
-        acc = LaurentPoly.accumulator("x")
-        if pairs:
-            decoded = [(e % k + e // k, v) for e, v in pairs]
-            acc.lo = min(e for e, _ in decoded)
-            acc.nums = [0] * (max(e for e, _ in decoded) - acc.lo + 1)
-            for e, v in decoded:
-                acc.nums[e - acc.lo] += v
-            acc.den = den
-        return acc.value()
+        nums: dict[int, int] = {}
+        for e, v in pairs:
+            e = e % k + e // k
+            nums[e] = nums.get(e, 0) + v
+        return LaurentPoly._canonical(
+            "x", {e: Fraction(n, den) if n % den else n // den for e, n in nums.items() if n})
 
     return s.map_coeffs(diagonal)
 

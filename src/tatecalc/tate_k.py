@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith import power
 from .basis import (
@@ -84,13 +84,20 @@ def _from_dense(lo: int, dense: list[int]) -> LaurentPoly:
     return LaurentPoly._canonical("q", {e: v for e, v in enumerate(dense, lo) if v})
 
 
+def binomial_row(b: int, n: int, c: int) -> Iterator[int]:
+    """c (-1)^i C(b, i) for i < n, the coefficients of c (1-t)^b, by the
+    running ratio; when b >= 0 it stops at i = b, past which every coefficient
+    is zero."""
+    if b >= 0:
+        n = min(n, b + 1)
+    for i in range(n):
+        yield c
+        c = c * (i - b) // (i + 1)
+
+
 def _one_minus_q_pow(d: int) -> LaurentPoly:
-    """(1-q)^d for d >= 0, its coefficients (-1)^i C(d, i) by their running ratio."""
-    coeffs, c = {}, 1
-    for i in range(d + 1):
-        coeffs[i] = c
-        c = c * (i - d) // (i + 1)
-    return LaurentPoly._canonical("q", coeffs)
+    """(1-q)^d for d >= 0."""
+    return LaurentPoly._canonical("q", dict(enumerate(binomial_row(d, d + 1, 1))))
 
 
 def _reduce(num: LaurentPoly, denom_pow: int) -> tuple[LaurentPoly, int]:
