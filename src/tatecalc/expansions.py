@@ -24,7 +24,7 @@ import enum
 
 from .errors import DomainError, PrecisionError
 from .series import TruncSeries, ZZ
-from .tate_k import TateKElem, binomial_row
+from .tate_k import TateKElem, _binomial_row
 
 
 # An expansion is stored densely from its lowest exponent, and at infinity q^e
@@ -89,7 +89,7 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
         else:
             a, b, c = k - e, e, -c if e % 2 else c
         # the row (-1)^i C(b, i) for i <= order - a, scaled by c
-        for i, v in enumerate(binomial_row(b, order - a + 1, c), a - low):
+        for i, v in enumerate(_binomial_row(b, order - a + 1, c), a - low):
             coeffs[i] += v
     return TruncSeries(ZZ, low, order, coeffs, puncture.variable).trimmed()
 

@@ -84,7 +84,7 @@ def _from_dense(lo: int, dense: list[int]) -> LaurentPoly:
     return LaurentPoly._canonical("q", {e: v for e, v in enumerate(dense, lo) if v})
 
 
-def binomial_row(b: int, n: int, c: int) -> Iterator[int]:
+def _binomial_row(b: int, n: int, c: int) -> Iterator[int]:
     """c (-1)^i C(b, i) for i < n, the coefficients of c (1-t)^b, by the
     running ratio; when b >= 0 it stops at i = b, past which every coefficient
     is zero."""
@@ -97,7 +97,7 @@ def binomial_row(b: int, n: int, c: int) -> Iterator[int]:
 
 def _one_minus_q_pow(d: int) -> LaurentPoly:
     """(1-q)^d for d >= 0."""
-    return LaurentPoly._canonical("q", dict(enumerate(binomial_row(d, d + 1, 1))))
+    return LaurentPoly._canonical("q", dict(enumerate(_binomial_row(d, d + 1, 1))))
 
 
 def _reduce(num: LaurentPoly, denom_pow: int) -> tuple[LaurentPoly, int]:

@@ -9,7 +9,7 @@ from tatecalc.errors import DomainError, PrecisionError
 from tatecalc.laurent import LaurentPoly
 from tatecalc.series import ZZ, TruncSeries
 from tatecalc import expansions as ex
-from tatecalc.tate_k import ONE_MINUS_Q, TateKElem, binomial_row
+from tatecalc.tate_k import ONE_MINUS_Q, TateKElem, _binomial_row
 
 
 def q_poly(coeffs):
@@ -214,8 +214,8 @@ def signed_binomials(b, n):
 @pytest.mark.parametrize("n", [1, 5, 128, 300])
 def test_binomial_rows_match_comb(n):
     for b in range(-40, 41):
-        assert list(binomial_row(b, n, 1)) == signed_binomials(b, n), (b, n)
-        assert list(binomial_row(b, n, -3)) == [-3 * v for v in signed_binomials(b, n)]
+        assert list(_binomial_row(b, n, 1)) == signed_binomials(b, n), (b, n)
+        assert list(_binomial_row(b, n, -3)) == [-3 * v for v in signed_binomials(b, n)]
 
 
 def test_long_rows_and_large_poles_match_image_products():
