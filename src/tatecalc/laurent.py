@@ -5,21 +5,27 @@ Fraction coefficients, the Q-coefficient rings that series computations pass
 through.  Integral coefficients are always stored as int, so integrality is a
 structural property of the value rather than a mode flag.
 
-Products are sums of products: `accumulator` collects any number of them as
-one dense list of integer numerators over one common denominator
-(`DenseAccumulator`) and normalises once, and `__mul__` is the one-product
-case, or a shift and a scale when one factor has a single term.  Ring
-operations build their results with `_canonical`, which skips the public
-constructor's per-coefficient check.  The series kernel uses the same accumulator per output coefficient, so
-every one-variable series the engine builds (over Q[b^±1], Q[x^±1],
-Q[beta^±1], Z[c^±1], ...) runs on it.  `binomials` gives the falling-factorial
-binomials binom(x, k) of a Laurent polynomial x by their running recurrence.
+Products are sums of products: `accumulator` collects any number of them
+(`DenseAccumulator`) and, when the sum is read, adds them up as one dense
+list of integer numerators over one common denominator, and `__mul__` is the
+one-product case, or a shift and a scale when one factor has a single term.
+A rational result of a ring operation stays in that integer form from one
+operation to the next (`_HeldPoly`); its dict of Fractions is built only
+when something reads `coeffs`.  Ring operations build their results with
+`_canonical` or `_from_numerators`, which skip the public constructor's
+per-coefficient check.  The series kernel uses the same accumulator per
+output coefficient, so every one-variable series the engine builds (over
+Q[b^±1], Q[x^±1], Q[beta^±1], Z[c^±1], ...) runs on it.  `binomials` gives
+the falling-factorial binomials binom(x, k) of a Laurent polynomial x by
+their running recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .arith import power
@@ -61,6 +67,24 @@ class LaurentPoly:
         out.var = var
         out.coeffs = coeffs
         out._int_cache = None
+        return out
+
+    @staticmethod
+    def _from_numerators(var: str, pairs: list[tuple[int, int]], den: int) -> LaurentPoly:
+        """sum n/den var^e over `pairs` (sorted by exponent, no zero
+        numerator, den > 0), divided through by the gcd of den and every
+        numerator.  That leaves exactly the form `_int_form` computes, whose
+        denominator is the lcm of the reduced coefficient denominators; a
+        rational result is held in it (`_HeldPoly`)."""
+        if den != 1:
+            g = gcd(den, *map(itemgetter(1), pairs))
+            if g != 1:
+                den //= g
+                pairs = [(e, n // g) for e, n in pairs]
+            if den != 1:
+                return _HeldPoly(var, pairs, den)
+        out = LaurentPoly._canonical(var, dict(pairs))
+        out._int_cache = (pairs, 1)
         return out
 
     @classmethod
@@ -206,8 +230,7 @@ class LaurentPoly:
         for k in range(1, n + 1):
             acc = LaurentPoly.accumulator(self.var)
             acc.add(out[-1], self - (k - 1))
-            acc.den *= k  # divide the integer numerators by k once, in `value`
-            out.append(acc.value())
+            out.append(acc.value(k))
         return out
 
     def div_scalar_exact(self, n: Scalar) -> LaurentPoly:
@@ -289,75 +312,160 @@ def _span_error(var: str, lo: int, hi: int) -> DomainError:
     return DomainError(f"a product over {var}^{lo}..{var}^{hi} spans more than {MAX_SPAN} exponents")
 
 
+class _HeldPoly(LaurentPoly):
+    """A rational Laurent polynomial held as its reduced integer form
+    `_int_cache` = (sorted (exponent, numerator) pairs, denominator > 1).
+
+    Its ring operations run on that form and return held results, so a chain
+    of them builds no Fraction; `coeffs` is built from it when first read
+    (rendering, JSON, `coeff`).  Python tries a subclass's reflected
+    operator first, so an operation with a plain polynomial on the left
+    lands here too, and integral polynomials keep the plain class's paths
+    with `coeffs` as a plain attribute.  The form is canonical, so two
+    polynomials are equal exactly when their forms are."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, var: str, pairs: list[tuple[int, int]], den: int):
+        self.var = var
+        self._int_cache = (pairs, den)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> dict[int, Scalar]:
+        coeffs = self._coeffs
+        if coeffs is None:
+            pairs, den = self._int_cache
+            coeffs = self._coeffs = {
+                e: Fraction(n, den) if n % den else n // den for e, n in pairs}
+        return coeffs
+
+    def is_zero(self) -> bool:
+        return False
+
+    def is_integral(self) -> bool:
+        return False
+
+    def lo(self) -> int:
+        return self._int_cache[0][0][0]
+
+    def hi(self) -> int:
+        return self._int_cache[0][-1][0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.var == other.var and self._int_cache == other._int_form()
+        return LaurentPoly.__eq__(self, other)
+
+    def __neg__(self) -> LaurentPoly:
+        pairs, den = self._int_cache
+        return _HeldPoly(self.var, [(e, -n) for e, n in pairs], den)
+
+    def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly(self.var, {0: other})
+        self._require_same(other)
+        (xs, dx), (ys, dy) = self._int_cache, other._int_form()
+        den = lcm(dx, dy)
+        fx, fy = den // dx, den // dy
+        sums = {e: n * fx for e, n in xs}
+        get = sums.get
+        for e, n in ys:
+            sums[e] = get(e, 0) + n * fy
+        return LaurentPoly._from_numerators(
+            self.var, sorted([(e, n) for e, n in sums.items() if n]), den)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
+        xs, dx = self._int_cache
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return LaurentPoly.zero(self.var)
+            p = other.numerator
+            return LaurentPoly._from_numerators(
+                self.var, [(e, n * p) for e, n in xs], dx * other.denominator)
+        self._require_same(other)
+        ys, dy = other._int_form()
+        if len(ys) == 1 or len(xs) == 1:
+            if len(xs) == 1:
+                xs, ys = ys, xs
+            if not xs:
+                return LaurentPoly.zero(self.var)
+            (k, c), = ys
+            lo, hi = xs[0][0] + k, xs[-1][0] + k
+            if hi - lo >= MAX_SPAN:
+                raise _span_error(self.var, lo, hi)
+            return LaurentPoly._from_numerators(self.var, [(e + k, n * c) for e, n in xs], dx * dy)
+        acc = LaurentPoly.accumulator(self.var)
+        acc.add(self, other)
+        return acc.value()
+
+    __rmul__ = __mul__
+
+    def shifted(self, k: int) -> LaurentPoly:
+        pairs, den = self._int_cache
+        return _HeldPoly(self.var, [(e + k, n) for e, n in pairs], den)
+
+
 class DenseAccumulator:
     """A sum of products x*y of Laurent polynomials in one variable, fraction-free.
 
-    The sum is one dense list of integer numerators, nums[i] at exponent
-    lo + i, over one common denominator, read from each factor's cached
-    `_int_form`; `value` normalises it once, however many products went into
-    it.  A product's denominator joins the common one by lcm only when it
-    does not divide it already.  A sum spanning more than MAX_SPAN exponents
-    is refused.
+    `add` records each product as its factors' cached `_int_form`s and keeps
+    the running lowest and highest exponent, so a sum spanning more than
+    MAX_SPAN exponents is refused when the product that widens it is added.
+    `value` takes the common denominator once, sums every product into one
+    dense list of integer numerators over it, and divides through by one gcd.
     """
 
-    __slots__ = ("var", "lo", "nums", "den")
+    __slots__ = ("var", "lo", "hi", "products")
 
     def __init__(self, var: str):
         self.var = var
-        self.lo = 0
-        self.nums: list[int] = []
-        self.den = 1
+        self.lo = self.hi = 0
+        self.products: list[tuple[list[tuple[int, int]], list[tuple[int, int]], int]] = []
 
     def add(self, x: LaurentPoly, y: LaurentPoly) -> None:
         xs, dx = x._int_form()
         ys, dy = y._int_form()
         if not xs or not ys:
             return
-        d = dx * dy
-        den = self.den
-        if den % d:
-            common = lcm(den, d)
-            scale = common // den
-            self.nums = [c * scale for c in self.nums]
-            self.den = den = common
-        f = den // d
         lo = xs[0][0] + ys[0][0]
         hi = xs[-1][0] + ys[-1][0]
-        nums = self.nums
-        # the span is checked only where the list is allocated or grown
-        if not nums:
-            if hi - lo >= MAX_SPAN:
-                raise _span_error(self.var, lo, hi)
-            self.lo = lo
-            nums = self.nums = [0] * (hi - lo + 1)
-        elif lo < self.lo or hi >= self.lo + len(nums):
-            lo, hi = min(lo, self.lo), max(hi, self.lo + len(nums) - 1)
-            if hi - lo >= MAX_SPAN:
-                raise _span_error(self.var, lo, hi)
-            nums[:0] = [0] * (self.lo - lo)
-            nums.extend([0] * (hi - lo + 1 - len(nums)))
-            self.lo = lo
-        if len(xs) > len(ys):
-            xs, ys = ys, xs
-        base = -self.lo
-        for i, c in xs:
-            c *= f
-            i += base
-            for j, v in ys:
-                nums[i + j] += c * v
+        if self.products:
+            if lo > self.lo:
+                lo = self.lo
+            if hi < self.hi:
+                hi = self.hi
+        if hi - lo >= MAX_SPAN:
+            raise _span_error(self.var, lo, hi)
+        self.lo, self.hi = lo, hi
+        self.products.append((xs, ys, dx * dy) if len(xs) <= len(ys) else (ys, xs, dx * dy))
 
-    def value(self) -> LaurentPoly:
-        """sum_i nums[i]/den var^(lo+i), integral coefficients as int."""
-        den = self.den
+    def value(self, divisor: int = 1) -> LaurentPoly:
+        """The sum divided by the positive integer `divisor`."""
+        products = self.products
+        if not products:
+            return LaurentPoly._canonical(self.var, {})
+        den = lcm(*[d for _, _, d in products])
+        base = self.lo
+        nums = [0] * (self.hi - base + 1)
+        for xs, ys, d in products:
+            f = den // d
+            for i, c in xs:
+                c *= f
+                i -= base
+                for j, v in ys:
+                    nums[i + j] += c * v
+        den *= divisor
         if den == 1:
-            coeffs = {e: c for e, c in enumerate(self.nums, self.lo) if c}
-        else:
-            coeffs = {}
-            for e, c in enumerate(self.nums, self.lo):
-                if c:
-                    q, r = divmod(c, den)
-                    coeffs[e] = Fraction(c, den) if r else q
-        return LaurentPoly._canonical(self.var, coeffs)
+            return LaurentPoly._canonical(self.var, dict(compress(enumerate(nums, base), nums)))
+        return LaurentPoly._from_numerators(
+            self.var, list(compress(enumerate(nums, base), nums)), den)
 
 
 def var_power(var: str, e: int) -> str:

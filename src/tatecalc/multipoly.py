@@ -5,10 +5,10 @@ generator tuple.  Its one caller is the evaluator's series mode, over
 whichever generators an expression names.  Every series the engine builds
 itself runs over `LaurentPoly` instead, renorm's Q[x,y] included (by
 Kronecker substitution).  Products are fraction-free: `MultiPoly.accumulator`
-sums any number of products x*y as integer numerators keyed by exponent
-vector over one common denominator, and normalises to Fractions once, when
-the sum is read.  The series kernel keeps one accumulator per output
-coefficient, and `__mul__` is the one-product case.
+collects any number of products x*y and, when the sum is read, adds them up
+as integer numerators keyed by exponent vector over one common denominator
+and builds its Fractions once.  The series kernel keeps one accumulator per
+output coefficient, and `__mul__` is the one-product case.
 
 RationalFunction is not a coefficient ring: it writes a Laurent polynomial in
 one variable as num/(d*var^m) with integer coefficients of content 1, which
@@ -20,8 +20,8 @@ wraps `multipoly.RationalFunction` by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
@@ -225,39 +225,47 @@ class MultiPoly:
 
 
 class _SparseAccumulator:
-    """A sum of products of polynomials: integer numerators keyed by exponent
-    vector over one common denominator, normalised once by `value`.  The
-    sparse twin of `laurent.DenseAccumulator`."""
+    """A sum of products of polynomials, fraction-free.  `add` records each
+    product as its factors' cached `_int_form`s; `value` takes the common
+    denominator once, sums the integer numerators keyed by exponent vector
+    over it, and builds the result, with its integer form divided through by
+    one gcd, without the public constructor's per-term checks.  The sparse
+    twin of `laurent.DenseAccumulator`."""
 
-    __slots__ = ("gens", "nums", "den")
+    __slots__ = ("gens", "products")
 
     def __init__(self, gens: tuple[str, ...]):
         self.gens = gens
-        self.nums: dict[Expo, int] = {}
-        self.den = 1
+        self.products: list[tuple[list[tuple[Expo, int]], list[tuple[Expo, int]], int]] = []
 
     def add(self, x: MultiPoly, y: MultiPoly) -> None:
         xs, dx = x._int_form()
         ys, dy = y._int_form()
-        d = dx * dy
-        den = self.den
-        if den % d:
-            common = lcm(den, d)
-            scale = common // den
-            self.nums = {e: c * scale for e, c in self.nums.items()}
-            self.den = den = common
-        f = den // d
-        nums = self.nums
-        get = nums.get
-        for ea, ca in xs:
-            ca *= f
-            for eb, cb in ys:
-                e = tuple(map(add, ea, eb))
-                nums[e] = get(e, 0) + ca * cb
+        self.products.append((xs, ys, dx * dy))
 
     def value(self) -> MultiPoly:
-        den = self.den
-        return MultiPoly(self.gens, {e: Fraction(c, den) for e, c in self.nums.items() if c})
+        products = self.products
+        den = lcm(*[d for _, _, d in products])
+        nums: dict[Expo, int] = {}
+        get = nums.get
+        for xs, ys, d in products:
+            f = den // d
+            for ea, ca in xs:
+                ca *= f
+                for eb, cb in ys:
+                    e = tuple(map(add, ea, eb))
+                    nums[e] = get(e, 0) + ca * cb
+        pairs = [(e, c) for e, c in nums.items() if c]
+        if den != 1:
+            g = gcd(den, *map(itemgetter(1), pairs))
+            if g != 1:
+                den //= g
+                pairs = [(e, c // g) for e, c in pairs]
+        out = object.__new__(MultiPoly)
+        out.gens = self.gens
+        out.terms = {e: Fraction(c, den) for e, c in pairs}
+        out._int_cache = (pairs, den)
+        return out
 
 
 class RationalFunction:

@@ -93,7 +93,7 @@ def specialize_diagonal(s: TruncSeries) -> TruncSeries:
     """Substitute y := x in a series built at order s.order, landing in Q[x]:
     x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j).  Each
     coefficient is summed as integer numerators over its common denominator
-    and normalised once."""
+    and divided through by their gcd once."""
     k = s.order + 3
 
     def diagonal(p: LaurentPoly) -> LaurentPoly:
@@ -102,8 +102,7 @@ def specialize_diagonal(s: TruncSeries) -> TruncSeries:
         for e, v in pairs:
             e = e % k + e // k
             nums[e] = nums.get(e, 0) + v
-        return LaurentPoly._canonical(
-            "x", {e: Fraction(n, den) if n % den else n // den for e, n in nums.items() if n})
+        return LaurentPoly._from_numerators("x", sorted([(e, n) for e, n in nums.items() if n]), den)
 
     return s.map_coeffs(diagonal)
 

@@ -39,23 +39,43 @@ _T = TypeVar("_T")
 # -- random generators ---------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from range(n), n >= 1, by the rule `Random.randrange` applies:
+    getrandbits(n.bit_length()) until the value is below n.  So
+    `a + _below(rng, b - a + 1)` takes the same draws as `rng.randint(a, b)`."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_laurent(rng: random.Random, var: str, window: tuple[int, int]) -> LaurentPoly:
     """1 to 5 terms, exponents in the closed `window`, coefficients in -9..9.
 
-    `randrange(a, b + 1)` is how `Random.randint(a, b)` is defined, so the
-    stream is randint's, one call layer cheaper per draw."""
-    draw = rng.randrange
-    lo, hi = window[0], window[1] + 1
+    The draws are `randint`'s (see `_below`), inlined: 5 term counts take 3
+    bits, 19 coefficients 5, and the exponent span its own bit length."""
+    bits = rng.getrandbits
+    lo, span = window[0], window[1] - window[0] + 1
+    k = span.bit_length()
+    n = bits(3)
+    while n >= 5:
+        n = bits(3)
     coeffs = {}
-    for _ in range(draw(1, 6)):
-        e = draw(lo, hi)
-        coeffs[e] = draw(-9, 10)
-    return LaurentPoly(var, coeffs)
+    for _ in range(n + 1):
+        e = bits(k)
+        while e >= span:
+            e = bits(k)
+        c = bits(5)
+        while c >= 19:
+            c = bits(5)
+        coeffs[lo + e] = c - 9
+    return LaurentPoly._canonical(var, {e: c for e, c in coeffs.items() if c})
 
 
 def rand_tatek(rng: random.Random, window: tuple[int, int] = (-6, 6),
                max_pole: int = 6) -> TateKElem:
-    return TateKElem(rand_laurent(rng, "q", window), rng.randint(0, max_pole))
+    return TateKElem(rand_laurent(rng, "q", window), _below(rng, max_pole + 1))
 
 
 # -- first-defect search ----------------------------------------------------------
@@ -234,7 +254,7 @@ def _suite_adams(order: int, rng: random.Random, defect: int | None) -> Sequence
     psi = tate_k.adams_on_laurent
 
     def homomorphism_defect(i: int) -> str | None:
-        k = rng.randint(1, 5)
+        k = 1 + _below(rng, 5)
         x = rand_laurent(rng, "q", (-6, 6))
         y = rand_laurent(rng, "q", (-6, 6))
         if psi(k, x * y) != psi(k, x) * psi(k, y):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,3 +225,85 @@ def test_a_wide_one_term_product_needs_no_dense_list_and_keeps_the_span_bound(mo
     with pytest.raises(DomainError, match=r"^a product over q\^1..q\^1000000001 spans more "
                                           r"than 4194304 exponents$"):
         LaurentPoly("q", {0: 1, 10**9: 1}) * LaurentPoly("q", {1: 1})
+
+
+# -- rational results held as their integer form -------------------------------
+
+def oracle_add(a: dict, b: dict) -> dict:
+    out = {e: Fraction(v) for e, v in a.items()}
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e, u in a.items():
+        for f, v in b.items():
+            out[e + f] = out.get(e + f, 0) + Fraction(u) * v
+    return {e: v for e, v in out.items() if v}
+
+
+def assert_matches(p: LaurentPoly, want: dict) -> None:
+    """p has the oracle's coefficients, and its integer form is canonical:
+    pairs sorted by exponent, no zero numerator, and the denominator the lcm
+    of the reduced coefficient denominators."""
+    pairs, den = p._int_form()
+    assert [e for e, _ in pairs] == sorted(want)
+    assert all(n for _, n in pairs)
+    assert den == lcm(1, *(Fraction(v).denominator for v in want.values()))
+    assert {e: Fraction(n, den) for e, n in pairs} == want
+    assert p == LaurentPoly(p.var, want) and LaurentPoly(p.var, want) == p
+    assert p.coeffs == want and is_canonical(p)
+
+
+rational_dicts = st.dictionaries(st.integers(-6, 6), scalars.filter(bool), min_size=1, max_size=5)
+
+
+@given(rational_dicts, rational_dicts, rational_dicts, st.integers(-4, 4), scalars.filter(bool))
+def test_held_results_match_a_fraction_oracle(a, b, c, k, v):
+    # x * y is summed by the accumulator, so a rational one is held as its
+    # integer form; each operation below starts from such a result
+    x, y, z = lp("x", a), lp("x", b), lp("x", c)
+    mono = {k: v}
+    xy = oracle_mul(a, b)
+    cases = [
+        (lambda: x * y, xy),
+        (lambda: x * y + z, oracle_add(xy, c)),
+        (lambda: z + x * y, oracle_add(c, xy)),
+        (lambda: z - x * y, oracle_add(c, {e: -u for e, u in xy.items()})),
+        (lambda: x * y + x * y, oracle_add(xy, xy)),
+        (lambda: x * y - x * y, {}),
+        (lambda: -(x * y), {e: -u for e, u in xy.items()}),
+        (lambda: x * y * z, oracle_mul(xy, c)),
+        (lambda: z * (x * y), oracle_mul(c, xy)),
+        (lambda: x * y * lp("x", mono), oracle_mul(xy, mono)),
+        (lambda: lp("x", mono) * (x * y), oracle_mul(mono, xy)),
+        (lambda: x * y * v, oracle_mul(xy, {0: v})),
+        (lambda: 3 * (x * y), oracle_mul(xy, {0: 3})),
+        (lambda: (x * y).shifted(k), {e + k: u for e, u in xy.items()}),
+        (lambda: x * y + 1, oracle_add(xy, {0: 1})),
+        (lambda: 1 - x * y, oracle_add({0: 1}, {e: -u for e, u in xy.items()})),
+    ]
+    for op, want in cases:
+        assert_matches(op(), want)
+
+
+def test_a_held_polynomial_equals_and_renders_as_one_built_from_its_fractions():
+    x = lp("x", {-1: Fraction(1, 2), 2: Fraction(-2, 3)})
+    y = lp("x", {0: 3, 1: Fraction(1, 4), 4: 6})
+    built = lp("x", dict(sorted(oracle_mul(x.coeffs, y.coeffs).items())))
+    held = x * y
+    assert isinstance(held, laurent._HeldPoly)
+    assert held == built and built == held and not held != built
+    assert held._coeffs is None  # equality compared the integer forms
+    assert (held.lo(), held.hi(), held.is_zero(), held.is_integral()) == (-1, 6, False, False)
+    assert held._coeffs is None
+    assert str(x * y) == str(built) == "3/2*x^-1 + 1/8 - 2*x^2 + 17/6*x^3 - 4*x^6"
+    assert (x * y).to_json() == built.to_json()
+    assert repr(x * y) == repr(built)
+    assert (x * y).coeff(3) == Fraction(17, 6) and (x * y).coeff(1) == 0
+    assert type((x * y).coeff(6)) is int  # an integral coefficient reads as an int
+    assert held != built + 1 and held != 0
+    # an integral sum of held results is a plain polynomial again
+    assert type(x * y - x * y + 1) is LaurentPoly

@@ -39,6 +39,20 @@ def test_fast_multiplication_matches_reference(a, b):
     assert pa * pb == naive_mul(pa, pb)
 
 
+@given(st.lists(st.tuples(term_dicts, term_dicts), min_size=1, max_size=4))
+def test_a_sum_of_products_matches_the_reference_and_caches_its_integer_form(products):
+    # the products' denominators differ, so the sum's common one is an lcm
+    acc = MultiPoly.accumulator(GENS)
+    want = MultiPoly.zero(GENS)
+    for a, b in products:
+        acc.add(poly(a), poly(b))
+        want = want + naive_mul(poly(a), poly(b))
+    got = acc.value()
+    assert got == want
+    assert all(type(v) is Fraction and v for v in got.terms.values())
+    assert got._int_form() == MultiPoly(GENS, got.terms)._int_form()
+
+
 @given(
     st.dictionaries(st.tuples(st.integers(0, 6)), small_fracs, max_size=5),
     st.dictionaries(st.tuples(st.integers(0, 6)), small_fracs, max_size=5),
