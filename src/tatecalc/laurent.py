@@ -407,10 +407,6 @@ class _HeldPoly(LaurentPoly):
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> LaurentPoly:
-        pairs, den = self._int_cache
-        return _HeldPoly(self.var, [(e + k, n) for e, n in pairs], den)
-
 
 class DenseAccumulator:
     """A sum of products x*y of Laurent polynomials in one variable, fraction-free.

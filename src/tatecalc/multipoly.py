@@ -20,8 +20,8 @@ wraps `multipoly.RationalFunction` by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, itemgetter
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
@@ -228,9 +228,9 @@ class _SparseAccumulator:
     """A sum of products of polynomials, fraction-free.  `add` records each
     product as its factors' cached `_int_form`s; `value` takes the common
     denominator once, sums the integer numerators keyed by exponent vector
-    over it, and builds the result, with its integer form divided through by
-    one gcd, without the public constructor's per-term checks.  The sparse
-    twin of `laurent.DenseAccumulator`."""
+    over it, and builds the result's Fractions without the public
+    constructor's per-term checks.  The sparse twin of
+    `laurent.DenseAccumulator`."""
 
     __slots__ = ("gens", "products")
 
@@ -255,16 +255,10 @@ class _SparseAccumulator:
                 for eb, cb in ys:
                     e = tuple(map(add, ea, eb))
                     nums[e] = get(e, 0) + ca * cb
-        pairs = [(e, c) for e, c in nums.items() if c]
-        if den != 1:
-            g = gcd(den, *map(itemgetter(1), pairs))
-            if g != 1:
-                den //= g
-                pairs = [(e, c // g) for e, c in pairs]
         out = object.__new__(MultiPoly)
         out.gens = self.gens
-        out.terms = {e: Fraction(c, den) for e, c in pairs}
-        out._int_cache = (pairs, den)
+        out.terms = {e: Fraction(c, den) for e, c in nums.items() if c}
+        out._int_cache = None
         return out
 
 
