@@ -297,16 +297,16 @@ class NotIntegral(NamedTuple):
 def to_binomial_basis(p: LaurentPoly) -> NumericalPoly | NotIntegral:
     """Convert a polynomial in one variable to the binomial basis.
 
-    Coordinates are the iterated finite differences Δ^k p(0): p is scaled to
-    integer numerators over one denominator, evaluated at 0..deg by integer
-    Horner, differenced in integers and divided once per coordinate.  Returns
-    a NumericalPoly when all are integers, otherwise a NotIntegral report.
+    Coordinates are the iterated finite differences Δ^k p(0): p's integer
+    numerators are evaluated at 0..deg by integer Horner, differenced in
+    integers and divided by p's denominator once per coordinate.  Returns a
+    NumericalPoly when all are integers, otherwise a NotIntegral report.
     """
     if p.lo() < 0:
         raise DomainError(f"binomial-basis conversion requires a polynomial, got {p}")
-    pairs, den = p._int_form()
+    den = p.den
     nums = [0] * (p.hi() + 1)
-    for e, c in pairs:
+    for e, c in p.nums.items():
         nums[e] = c
     values = []
     for n in range(len(nums)):
@@ -314,8 +314,9 @@ def to_binomial_basis(p: LaurentPoly) -> NumericalPoly | NotIntegral:
         for c in reversed(nums):
             v = v * n + c
         values.append(v)
-    coords = [(k, Fraction(d, den)) for k, d in enumerate(_finite_differences(values)) if d]
-    fractional = [(k, c) for k, c in coords if c.denominator != 1]
-    if fractional:
-        return NotIntegral(coords=tuple(coords), fractional=tuple(fractional))
-    return NumericalPoly({k: int(c) for k, c in coords})
+    diffs = [(k, d) for k, d in enumerate(_finite_differences(values)) if d]
+    if all(d % den == 0 for _, d in diffs):
+        return NumericalPoly({k: d // den for k, d in diffs})
+    coords = [(k, Fraction(d, den)) for k, d in diffs]
+    return NotIntegral(coords=tuple(coords),
+                       fractional=tuple((k, c) for k, c in coords if c.denominator != 1))

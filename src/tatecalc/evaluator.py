@@ -54,6 +54,15 @@ _PUNCTURE_SLOT = {Num(0): expansions.Puncture.ZERO, Sym("q"): expansions.Punctur
 # 1000 (CPython 3.11, 2-vCPU VM), so indices above 512 exit 2.
 BERNOULLI_MAX_INDEX = 512
 
+# A series result grows with the order in both length and coefficient size:
+# in a fresh process `eval "exp(b*T)*geom(cinv)"` took 0.6 s at order 256,
+# 1.8 s at 384, 3.6 s at 512 (160 MB, printing 46 MB) and 5.9 s at 600
+# (283 MB, printing 75 MB), and `eval "1+T" --order 4000000` took 12-17 s and
+# 383 MB to print `1 + T` (CPython 3.11, 2-vCPU VM).  So series and tate_h
+# orders above 512 exit 2 before any series is built.  tate_k values carry no
+# order; its expansions keep their own bound, `expansions.MAX_ORDER`.
+MAX_ORDER = 512
+
 
 def infer_mode(symbols: set[str], functions: set[str]) -> str:
     """The ring context of an expression, from `parser.names_used`."""
@@ -76,6 +85,8 @@ def evaluate(expr: Expr, mode: str, order: int = 8, symbols: Collection[str] = (
     `symbols` are the expression's symbols (`parser.names_used`); series mode
     builds its coefficient ring from them, the Tate contexts do not read them.
     """
+    if mode != "tate_k" and order > MAX_ORDER:
+        raise DomainError(f"order {order} is above the series bound {MAX_ORDER}")
     if mode == "tate_h":
         return _EvalH(order).eval(expr)
     if mode == "tate_k":
@@ -169,9 +180,11 @@ class _EvalTate(_EvalBase):
         return _ARITH[op](a, b)
 
     def _admit(self, op: str, *operands) -> None:
-        kind, *more = {type(v) for v in operands if not isinstance(v, int)}
+        # a rational LaurentPoly is a private subclass, and counts as its kind
+        types = [next((k for k in self.kinds if isinstance(v, k)), type(v)) for v in operands]
+        kind, *more = {t for t, v in zip(types, operands) if not isinstance(v, int)}
         if more or kind not in self.kinds:
-            names = " and ".join(type(v).__name__ for v in operands)
+            names = " and ".join(t.__name__ for t in types)
             raise EvalError(f"cannot apply {op!r} to {names} in {self.name}")
 
     def arg(self, e: Call, i: int = 0):

@@ -1,23 +1,26 @@
 """Laurent polynomials in one named variable with exact coefficients.
 
-One type serves both the integer rings (Z[c,c^-1], Z[q,q^-1]) and, with
-Fraction coefficients, the Q-coefficient rings that series computations pass
-through.  Integral coefficients are always stored as int, so integrality is a
-structural property of the value rather than a mode flag.
+One type serves both the integer rings (Z[c,c^-1], Z[q,q^-1]) and the
+Q-coefficient rings that series computations pass through.  Every polynomial
+is integer numerators `nums` (exponent -> numerator) over one denominator
+`den` > 0, always reduced: no numerator is zero, and den and the numerators
+have no common factor.  So integrality is `den == 1`, a structural property
+of the value rather than a mode flag, two polynomials are equal exactly when
+their forms are, and each ring operation is written once, on that form.
+
+An integral polynomial is a plain `LaurentPoly` whose `coeffs` is `nums`
+itself, a dict of ints.  A rational one is a `_HeldPoly`, whose `coeffs` (a
+dict of Fractions, and of ints where a coefficient is integral) is built only
+when something reads it, so a chain of ring operations builds no Fraction.
 
 Products are sums of products: `accumulator` collects any number of them
 (`DenseAccumulator`) and, when the sum is read, adds them up as one dense
 list of integer numerators over one common denominator, and `__mul__` is the
 one-product case, or a shift and a scale when one factor has a single term.
-A rational result of a ring operation stays in that integer form from one
-operation to the next (`_HeldPoly`); its dict of Fractions is built only
-when something reads `coeffs`.  Ring operations build their results with
-`_canonical` or `_from_numerators`, which skip the public constructor's
-per-coefficient check.  The series kernel uses the same accumulator per
-output coefficient, so every one-variable series the engine builds (over
-Q[b^±1], Q[x^±1], Q[beta^±1], Z[c^±1], ...) runs on it.  `binomials` gives
-the falling-factorial binomials binom(x, k) of a Laurent polynomial x by
-their running recurrence.
+The series kernel uses the same accumulator per output coefficient, so every
+one-variable series the engine builds (over Q[b^±1], Q[x^±1], Q[beta^±1],
+Z[c^±1], ...) runs on it.  `binomials` gives the falling-factorial binomials
+binom(x, k) of a Laurent polynomial x by their running recurrence.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .arith import power
@@ -34,57 +36,54 @@ from .errors import DomainError, InexactDivisionError, NotInvertibleError, Varia
 Scalar = int | Fraction
 
 
-def canon_scalar(value: Scalar) -> Scalar:
-    """Collapse integral Fractions to int.  An exact type test: `isinstance`
-    against the ABC-registered `Fraction` is slow on an int."""
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
-
-
 class LaurentPoly:
-    """Finite map exponent -> coefficient; zero coefficients are never stored."""
+    """sum nums[e]/den var^e, in the reduced form the module docstring sets.
 
-    __slots__ = ("var", "coeffs", "_int_cache")
+    The constructor takes int or Fraction coefficients and checks each one;
+    a rational polynomial comes back as a `_HeldPoly` that keeps the
+    coefficients it was given as its `coeffs`.  Ring operations build their
+    results with `_from_numerators`, which skips those checks."""
 
-    def __init__(self, var: str, coeffs: Mapping[int, Scalar] | None = None):
-        self.var = var
-        clean: dict[int, Scalar] = {}
+    __slots__ = ("var", "nums", "den", "coeffs", "_int_cache")
+
+    def __new__(cls, var: str, coeffs: Mapping[int, Scalar] | None = None) -> LaurentPoly:
+        given: dict[int, Scalar] = {}
+        den = 1
         if coeffs:
             for e, v in coeffs.items():
-                v = canon_scalar(v)
-                if v != 0:
-                    clean[int(e)] = v
-        self.coeffs = clean
-        self._int_cache: tuple[list[tuple[int, int]], int] | None = None
-
-    @staticmethod
-    def _canonical(var: str, coeffs: dict[int, Scalar]) -> LaurentPoly:
-        """A LaurentPoly holding `coeffs` as given, for ring-operation results
-        whose coefficients are canonical already: none is zero and every
-        integral one is an int.  The public constructor checks each one."""
-        out = object.__new__(LaurentPoly)
-        out.var = var
-        out.coeffs = coeffs
-        out._int_cache = None
+                if type(v) is Fraction:  # an exact type test: isinstance is slow on an int
+                    if v.denominator == 1:
+                        v = v.numerator
+                    else:
+                        den = lcm(den, v.denominator)
+                if v:
+                    given[int(e)] = v
+        if den == 1:
+            return LaurentPoly._from_numerators(var, given)
+        # an int has numerator and denominator too; den is the lcm of the
+        # reduced denominators, so the form is reduced already
+        out = LaurentPoly._from_numerators(
+            var, {e: v.numerator * (den // v.denominator) for e, v in given.items()}, den)
+        out._coeffs = given
         return out
 
     @staticmethod
-    def _from_numerators(var: str, pairs: list[tuple[int, int]], den: int) -> LaurentPoly:
-        """sum n/den var^e over `pairs` (sorted by exponent, no zero
-        numerator, den > 0), divided through by the gcd of den and every
-        numerator.  That leaves exactly the form `_int_form` computes, whose
-        denominator is the lcm of the reduced coefficient denominators; a
-        rational result is held in it (`_HeldPoly`)."""
+    def _from_numerators(var: str, nums: dict[int, int], den: int = 1) -> LaurentPoly:
+        """sum nums[e]/den var^e for `nums` with no zero numerator and den > 0,
+        divided through by the gcd of den and every numerator when den > 1;
+        a `_HeldPoly` when a denominator remains."""
         if den != 1:
-            g = gcd(den, *map(itemgetter(1), pairs))
+            g = gcd(den, *nums.values())
             if g != 1:
                 den //= g
-                pairs = [(e, n // g) for e, n in pairs]
-            if den != 1:
-                return _HeldPoly(var, pairs, den)
-        out = LaurentPoly._canonical(var, dict(pairs))
-        out._int_cache = (pairs, 1)
+                nums = {e: n // g for e, n in nums.items()}
+        if den == 1:
+            out = object.__new__(LaurentPoly)
+            out.coeffs = nums
+        else:
+            out = object.__new__(_HeldPoly)
+            out._coeffs = None
+        out.var, out.nums, out.den, out._int_cache = var, nums, den, None
         return out
 
     @classmethod
@@ -96,20 +95,20 @@ class LaurentPoly:
         return cls(var, {0: 1})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_integral(self) -> bool:
-        return all(isinstance(v, int) for v in self.coeffs.values())
+        return self.den == 1
 
     def coeff(self, exponent: int) -> Scalar:
         return self.coeffs.get(exponent, 0)
 
     def lo(self) -> int:
         """Lowest exponent; 0 for the zero polynomial."""
-        return min(self.coeffs) if self.coeffs else 0
+        return min(self.nums) if self.nums else 0
 
     def hi(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
+        return max(self.nums) if self.nums else 0
 
     def _require_same(self, other: LaurentPoly) -> None:
         if self.var != other.var:
@@ -119,15 +118,17 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.var == other.var and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == ({} if other == 0 else {0: canon_scalar(other)})
+            return self.var == other.var and self.den == other.den and self.nums == other.nums
+        if isinstance(other, (int, Fraction)):  # an int has numerator and denominator too
+            return self.den == other.denominator and self.nums == (
+                {0: other.numerator} if other else {})
         return NotImplemented
 
     __hash__ = None  # mutable dict inside; values are compared, not hashed
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._canonical(self.var, {e: -v for e, v in self.coeffs.items()})
+        return LaurentPoly._from_numerators(
+            self.var, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -135,15 +136,18 @@ class LaurentPoly:
                 return NotImplemented
             other = LaurentPoly(self.var, {0: other})
         self._require_same(other)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            if e in out:  # only a sum of two terms can vanish or become integral
-                v = canon_scalar(out[e] + v)
-                if not v:
+        dx, dy = self.den, other.den
+        den = dx if dx == dy else lcm(dx, dy)
+        out = dict(self.nums) if den == dx else {e: n * (den // dx) for e, n in self.nums.items()}
+        ys = other.nums if den == dy else {e: n * (den // dy) for e, n in other.nums.items()}
+        for e, n in ys.items():
+            if e in out:  # only a sum of two terms can vanish
+                n += out[e]
+                if not n:
                     del out[e]
                     continue
-            out[e] = v
-        return LaurentPoly._canonical(self.var, out)
+            out[e] = n
+        return LaurentPoly._from_numerators(self.var, out, den)
 
     __radd__ = __add__
 
@@ -154,19 +158,10 @@ class LaurentPoly:
         return (-self) + other
 
     def _int_form(self) -> tuple[list[tuple[int, int]], int]:
-        """((exponent, integer numerator) pairs sorted by exponent, common
-        denominator), cached; the form `DenseAccumulator` reads."""
+        """((exponent, numerator) pairs sorted by exponent, den), cached; the
+        view `DenseAccumulator` reads."""
         if self._int_cache is None:
-            den = 1
-            for v in self.coeffs.values():
-                if type(v) is not int:
-                    den = lcm(den, v.denominator)
-            if den == 1:
-                pairs = sorted(self.coeffs.items())
-            else:
-                pairs = sorted((e, v.numerator * (den // v.denominator))
-                               for e, v in self.coeffs.items())
-            self._int_cache = (pairs, den)
+            self._int_cache = (sorted(self.nums.items()), self.den)
         return self._int_cache
 
     @staticmethod
@@ -178,9 +173,13 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return LaurentPoly(self.var, {e: v * other for e, v in self.coeffs.items()})
+            if not other:
+                return LaurentPoly.zero(self.var)
+            p = other.numerator
+            return LaurentPoly._from_numerators(
+                self.var, {e: n * p for e, n in self.nums.items()}, self.den * other.denominator)
         self._require_same(other)
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+        if len(self.nums) == 1 or len(other.nums) == 1:
             return self._monomial_mul(other)
         acc = LaurentPoly.accumulator(self.var)
         acc.add(self, other)
@@ -192,13 +191,13 @@ class LaurentPoly:
         """A product with a one-term factor as a shift and a scale, with no
         dense list; a span over MAX_SPAN is refused as `DenseAccumulator`
         refuses it."""
-        poly, mono = (self, other) if len(other.coeffs) == 1 else (other, self)
-        lo, hi = poly.lo() + mono.lo(), poly.hi() + mono.hi()
+        poly, mono = (self, other) if len(other.nums) == 1 else (other, self)
+        (k, c), = mono.nums.items()
+        lo, hi = poly.lo() + k, poly.hi() + k
         if hi - lo >= MAX_SPAN:
             raise _span_error(self.var, lo, hi)
-        (k, c), = mono.coeffs.items()
-        return LaurentPoly._canonical(
-            self.var, {e + k: canon_scalar(v * c) for e, v in poly.coeffs.items()})
+        return LaurentPoly._from_numerators(
+            self.var, {e + k: n * c for e, n in poly.nums.items()}, poly.den * mono.den)
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -209,18 +208,21 @@ class LaurentPoly:
 
     def inverse(self) -> LaurentPoly:
         """Invert a unit.  Only monomials with invertible coefficient qualify."""
-        if len(self.coeffs) != 1:
+        if len(self.nums) != 1:
             raise NotInvertibleError(f"{self} is not a unit in the Laurent ring")
-        (e, v), = self.coeffs.items()
-        return LaurentPoly(self.var, {-e: canon_scalar(Fraction(1, 1) / v)})
+        (e, n), = self.nums.items()
+        sign = 1 if n > 0 else -1
+        return LaurentPoly._from_numerators(self.var, {-e: sign * self.den}, sign * n)
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by var^k."""
-        return LaurentPoly._canonical(self.var, {e + k: v for e, v in self.coeffs.items()})
+        return LaurentPoly._from_numerators(
+            self.var, {e + k: n for e, n in self.nums.items()}, self.den)
 
     def dilated(self, k: int) -> LaurentPoly:
         """Exponent dilation var^n -> var^(k*n); a ring endomorphism for k >= 1."""
-        return LaurentPoly._canonical(self.var, {e * k: v for e, v in self.coeffs.items()})
+        return LaurentPoly._from_numerators(
+            self.var, {e * k: n for e, n in self.nums.items()}, self.den)
 
     def binomials(self, n: int) -> list[LaurentPoly]:
         """[binom(self, 0), ..., binom(self, n)], the falling-factorial binomials
@@ -237,13 +239,12 @@ class LaurentPoly:
         """Divide by a scalar, staying integral when the input is integral."""
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        out: dict[int, Scalar] = {}
-        for e, v in self.coeffs.items():
-            q = Fraction(v) / Fraction(n)
-            if isinstance(v, int) and q.denominator != 1:
-                raise InexactDivisionError(f"{v} is not divisible by {n}")
-            out[e] = q
-        return LaurentPoly(self.var, out)
+        r = Fraction(1) / n
+        quo = self * r
+        if self.den == 1 and quo.den != 1:
+            v = next(v for v in self.nums.values() if (v * r).denominator != 1)
+            raise InexactDivisionError(f"{v} is not divisible by {n}")
+        return quo
 
     def div_exact(self, other: LaurentPoly, over_integers: bool = True) -> LaurentPoly:
         """Exact Laurent division; raises InexactDivisionError when it fails.
@@ -257,7 +258,7 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.var)
-        if len(other.coeffs) == 1:  # a unit of the Laurent ring
+        if len(other.nums) == 1:  # a unit of the Laurent ring
             quo = self * other.inverse()
         else:  # shift both to ordinary polynomials and run dense long division
             a_lo, b_lo = self.lo(), other.lo()
@@ -313,99 +314,20 @@ def _span_error(var: str, lo: int, hi: int) -> DomainError:
 
 
 class _HeldPoly(LaurentPoly):
-    """A rational Laurent polynomial held as its reduced integer form
-    `_int_cache` = (sorted (exponent, numerator) pairs, denominator > 1).
-
-    Its ring operations run on that form and return held results, so a chain
-    of them builds no Fraction; `coeffs` is built from it when first read
-    (rendering, JSON, `coeff`).  Python tries a subclass's reflected
-    operator first, so an operation with a plain polynomial on the left
-    lands here too, and integral polynomials keep the plain class's paths
-    with `coeffs` as a plain attribute.  The form is canonical, so two
-    polynomials are equal exactly when their forms are."""
+    """A rational Laurent polynomial (den > 1).  Its `coeffs` is a view of
+    `nums` over `den`, built when first read (rendering, JSON, `coeff`); the
+    ring operations never read it."""
 
     __slots__ = ("_coeffs",)
-
-    def __init__(self, var: str, pairs: list[tuple[int, int]], den: int):
-        self.var = var
-        self._int_cache = (pairs, den)
-        self._coeffs = None
 
     @property
     def coeffs(self) -> dict[int, Scalar]:
         coeffs = self._coeffs
         if coeffs is None:
-            pairs, den = self._int_cache
+            den = self.den
             coeffs = self._coeffs = {
-                e: Fraction(n, den) if n % den else n // den for e, n in pairs}
+                e: Fraction(n, den) if n % den else n // den for e, n in self.nums.items()}
         return coeffs
-
-    def is_zero(self) -> bool:
-        return False
-
-    def is_integral(self) -> bool:
-        return False
-
-    def lo(self) -> int:
-        return self._int_cache[0][0][0]
-
-    def hi(self) -> int:
-        return self._int_cache[0][-1][0]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.var == other.var and self._int_cache == other._int_form()
-        return LaurentPoly.__eq__(self, other)
-
-    def __neg__(self) -> LaurentPoly:
-        pairs, den = self._int_cache
-        return _HeldPoly(self.var, [(e, -n) for e, n in pairs], den)
-
-    def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = LaurentPoly(self.var, {0: other})
-        self._require_same(other)
-        (xs, dx), (ys, dy) = self._int_cache, other._int_form()
-        den = lcm(dx, dy)
-        fx, fy = den // dx, den // dy
-        sums = {e: n * fx for e, n in xs}
-        get = sums.get
-        for e, n in ys:
-            sums[e] = get(e, 0) + n * fy
-        return LaurentPoly._from_numerators(
-            self.var, sorted([(e, n) for e, n in sums.items() if n]), den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        xs, dx = self._int_cache
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return LaurentPoly.zero(self.var)
-            p = other.numerator
-            return LaurentPoly._from_numerators(
-                self.var, [(e, n * p) for e, n in xs], dx * other.denominator)
-        self._require_same(other)
-        ys, dy = other._int_form()
-        if len(ys) == 1 or len(xs) == 1:
-            if len(xs) == 1:
-                xs, ys = ys, xs
-            if not xs:
-                return LaurentPoly.zero(self.var)
-            (k, c), = ys
-            lo, hi = xs[0][0] + k, xs[-1][0] + k
-            if hi - lo >= MAX_SPAN:
-                raise _span_error(self.var, lo, hi)
-            return LaurentPoly._from_numerators(self.var, [(e + k, n * c) for e, n in xs], dx * dy)
-        acc = LaurentPoly.accumulator(self.var)
-        acc.add(self, other)
-        return acc.value()
-
-    __rmul__ = __mul__
 
 
 class DenseAccumulator:
@@ -415,7 +337,8 @@ class DenseAccumulator:
     the running lowest and highest exponent, so a sum spanning more than
     MAX_SPAN exponents is refused when the product that widens it is added.
     `value` takes the common denominator once, sums every product into one
-    dense list of integer numerators over it, and divides through by one gcd.
+    dense list of integer numerators over it, and `_from_numerators` divides
+    through by one gcd.
     """
 
     __slots__ = ("var", "lo", "hi", "products")
@@ -446,7 +369,7 @@ class DenseAccumulator:
         """The sum divided by the positive integer `divisor`."""
         products = self.products
         if not products:
-            return LaurentPoly._canonical(self.var, {})
+            return LaurentPoly._from_numerators(self.var, {})
         den = lcm(*[d for _, _, d in products])
         base = self.lo
         nums = [0] * (self.hi - base + 1)
@@ -457,11 +380,8 @@ class DenseAccumulator:
                 i -= base
                 for j, v in ys:
                     nums[i + j] += c * v
-        den *= divisor
-        if den == 1:
-            return LaurentPoly._canonical(self.var, dict(compress(enumerate(nums, base), nums)))
         return LaurentPoly._from_numerators(
-            self.var, list(compress(enumerate(nums, base), nums)), den)
+            self.var, dict(compress(enumerate(nums, base), nums)), den * divisor)
 
 
 def var_power(var: str, e: int) -> str:

@@ -283,9 +283,8 @@ class RationalFunction:
         if m <= 0:
             self.num, self.den = c, LaurentPoly.one(c.var)
             return
-        pairs, d = c._int_form()
-        self.num = LaurentPoly(c.var, {e + m: v for e, v in pairs})
-        self.den = LaurentPoly(c.var, {m: d})
+        self.num = LaurentPoly._from_numerators(c.var, {e + m: v for e, v in c.nums.items()})
+        self.den = LaurentPoly._from_numerators(c.var, {m: c.den})
 
     def __str__(self) -> str:
         if self.den == 1:

@@ -92,17 +92,16 @@ def b_over_beta(order: int) -> TruncSeries:
 def specialize_diagonal(s: TruncSeries) -> TruncSeries:
     """Substitute y := x in a series built at order s.order, landing in Q[x]:
     x^(i+Kj) with 0 <= i < K = s.order + 3 decodes to x^(i+j).  Each
-    coefficient is summed as integer numerators over its common denominator
-    and divided through by their gcd once."""
+    coefficient is summed as integer numerators over its denominator and
+    divided through by their gcd once."""
     k = s.order + 3
 
     def diagonal(p: LaurentPoly) -> LaurentPoly:
-        pairs, den = p._int_form()
         nums: dict[int, int] = {}
-        for e, v in pairs:
+        for e, v in p.nums.items():
             e = e % k + e // k
             nums[e] = nums.get(e, 0) + v
-        return LaurentPoly._from_numerators("x", sorted([(e, n) for e, n in nums.items() if n]), den)
+        return LaurentPoly._from_numerators("x", {e: n for e, n in nums.items() if n}, p.den)
 
     return s.map_coeffs(diagonal)
 

@@ -29,7 +29,7 @@ from .errors import (
     PrecisionError,
     RingMismatchError,
 )
-from .laurent import LaurentPoly, canon_scalar
+from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
 
@@ -539,8 +539,8 @@ def monomial_coords(s: TruncSeries, sign: int, divided: bool = False) -> list[in
     coords: list[int | None] = []
     for k, c in enumerate(s.coeffs, s.low):
         e = sign * k
-        v = canon_scalar(c.coeff(e) * factorial(k)) if divided else c.coeff(e)
-        coords.append(v if isinstance(v, int) and c.coeffs.keys() <= {e} else None)
+        n = c.nums.get(e, 0) * (factorial(k) if divided else 1)
+        coords.append(n // c.den if c.nums.keys() <= {e} and n % c.den == 0 else None)
     return coords
 
 

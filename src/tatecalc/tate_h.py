@@ -33,7 +33,7 @@ def _check(x: LaurentPoly) -> None:
 def pi_minus(x: LaurentPoly) -> LaurentPoly:
     """Projection onto the split image c^-1 Z[c^-1] (strictly negative exponents)."""
     _check(x)
-    return LaurentPoly._canonical("c", {e: v for e, v in x.coeffs.items() if e < 0})
+    return LaurentPoly._from_numerators("c", {e: v for e, v in x.coeffs.items() if e < 0})
 
 
 def boundary(x: LaurentPoly) -> DividedPowerElem:

@@ -81,7 +81,7 @@ def _split_dense(lo: int, dense: list[int]) -> tuple[int, list[int]]:
 
 
 def _from_dense(lo: int, dense: list[int]) -> LaurentPoly:
-    return LaurentPoly._canonical("q", {e: v for e, v in enumerate(dense, lo) if v})
+    return LaurentPoly._from_numerators("q", {e: v for e, v in enumerate(dense, lo) if v})
 
 
 def _binomial_row(b: int, n: int, c: int) -> Iterator[int]:
@@ -97,7 +97,7 @@ def _binomial_row(b: int, n: int, c: int) -> Iterator[int]:
 
 def _one_minus_q_pow(d: int) -> LaurentPoly:
     """(1-q)^d for d >= 0."""
-    return LaurentPoly._canonical("q", dict(enumerate(_binomial_row(d, d + 1, 1))))
+    return LaurentPoly._from_numerators("q", dict(enumerate(_binomial_row(d, d + 1, 1))))
 
 
 def _reduce(num: LaurentPoly, denom_pow: int) -> tuple[LaurentPoly, int]:

@@ -70,7 +70,7 @@ def rand_laurent(rng: random.Random, var: str, window: tuple[int, int]) -> Laure
         while c >= 19:
             c = bits(5)
         coeffs[lo + e] = c - 9
-    return LaurentPoly._canonical(var, {e: c for e, c in coeffs.items() if c})
+    return LaurentPoly._from_numerators(var, {e: c for e, c in coeffs.items() if c})
 
 
 def rand_tatek(rng: random.Random, window: tuple[int, int] = (-6, 6),

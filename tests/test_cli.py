@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tatecalc
-from tatecalc import cli
+from tatecalc import cli, evaluator
 from tatecalc.basis import DividedPowerElem
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
@@ -239,6 +239,10 @@ def test_verify_refuses_prop2_above_its_bound(capsys, suite):
     ("2*binomial_series()", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
     ("binomial_series()*2", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
     ("bernoulli(12)", "-691/2730"),
+    # a rational Laurent value is a LaurentPoly to the operator rule, and
+    # divides by an int with no integrality to keep
+    ("((2*c)^-1 + 1) * (c+1) + 1", "1/2*c^-1 + 5/2 + c"),
+    ("((2*c)^-1 + 1)/3", "1/6*c^-1 + 1/3"),
 ])
 def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
     assert run(capsys, "eval", expr, "--order", "3") == (0, text + "\n", "")
@@ -252,6 +256,8 @@ def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
     ("partial_fractions(4)^-2", "cannot apply '^' to PartialFractionForm and int in tate_k"),
     ("(-expand(q, 0))", "cannot apply '-' to TruncSeries in tate_k"),
     ("exp_bT() + 1", "cannot apply '+' to GradedTSeries and int in tate_h"),
+    ("((2*c)^-1 + 1) * (c+1) * exp_bT()",
+     "cannot apply '*' to LaurentPoly and GradedTSeries in tate_h"),
     # a non-int coefficient of a series over another ring
     ("binomial_series()*(1/2)", "cannot combine series over Z[beta_*] and QQ"),
     ("binomial_series()*beta", "cannot combine series over Z[beta_*] and QQ[beta]"),
@@ -417,6 +423,26 @@ def test_expand_refuses_an_order_above_its_bound(capsys):
     for extra in ((), ("--json",)):
         assert run(capsys, "expand", "1 - q", "--at", "0", "--order", "4000000", *extra) == (
             2, "", "error: order 4000000 is above the expansion bound 262144\n")
+
+
+def test_eval_refuses_an_order_above_the_series_bound(capsys):
+    # refused before any series is built: `1+T` at order 4000000 took 12-17 s
+    # and 383 MB to print 1 + T
+    for expr in ("1+T", "exp(b*T)*geom(cinv)", "exp_bT()", "c + 1"):
+        for extra in ((), ("--json",)):
+            assert run(capsys, "eval", expr, "--order", "513", *extra) == (
+                2, "", "error: order 513 is above the series bound 512\n")
+    # tate_k values carry no order, and expansions keep their own bound
+    assert run(capsys, "expand", "1 - q", "--at", "0", "--order", "513")[:2] == (0, "1 - q\n")
+
+
+def test_eval_runs_at_the_series_bound(capsys, monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_ORDER", 5)
+    assert run(capsys, "eval", "geom(cinv)", "--order", "5")[0] == 0
+    assert run(capsys, "eval", "exp_bT()", "--order", "5")[0] == 0
+    assert run(capsys, "eval", "geom(cinv)", "--order", "6") == (
+        2, "", "error: order 6 is above the series bound 5\n")
+    assert run(capsys, "eval", "expand(qinv, 0)", "--order", "6")[0] == 0
 
 
 def test_report_signs(capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -167,16 +167,50 @@ def is_canonical(p: LaurentPoly) -> bool:
 exact_dicts = st.dictionaries(st.integers(-8, 8), scalars, max_size=6)
 
 
-@given(exact_dicts, exact_dicts, st.integers(-4, 4), st.integers(1, 4))
-def test_every_ring_operation_result_is_canonical(a, b, k, m):
+def assert_reduced(p: LaurentPoly, want: dict) -> None:
+    """p is nums over den in reduced form, its class and integrality follow
+    den, and its coefficients are the Fraction oracle's."""
+    assert p.den > 0 and all(p.nums.values()) and gcd(p.den, *p.nums.values()) == 1
+    assert type(p) is (laurent._HeldPoly if p.den > 1 else LaurentPoly)
+    assert p.is_integral() == (p.den == 1)
+    assert p.coeffs == want and is_canonical(p), (p.coeffs, want)
+
+
+@given(exact_dicts, exact_dicts, st.integers(-4, 4), st.integers(1, 4), scalars.filter(bool))
+def test_every_ring_operation_result_is_canonical(a, b, k, m, s):
     # int and Fraction operands: sums and products of two Fractions can be
     # integral, and a sum can cancel to zero
     x, y = lp("q", a), lp("q", b)
-    mono = lp("q", {k: Fraction(1, 2)})
-    results = [x + y, x - y, -x, x * y, x * mono, mono * y, x.shifted(k), x.dilated(m),
-               x + 1, 1 - x, x * 3, *x.binomials(3)]
-    for result in results:
-        assert is_canonical(result), result.coeffs
+    mono, unit = lp("q", {k: Fraction(1, 2)}), lp("q", {k: s})
+    fa, fb = oracle_add(a, {}), oracle_add(b, {})
+    half, r = {k: Fraction(1, 2)}, 1 / Fraction(s)
+    xy = oracle_mul(fa, fb)
+    binoms = [{0: 1}]
+    for j in range(1, 4):
+        binoms.append(oracle_mul(oracle_mul(binoms[-1], oracle_add(fa, {0: 1 - j})), {0: Fraction(1, j)}))
+    cases = [
+        (x, fa), (y, fb),
+        (x + y, oracle_add(fa, fb)), (x - y, oracle_add(fa, oracle_mul(fb, {0: -1}))),
+        (-x, oracle_mul(fa, {0: -1})), (x * y, xy),
+        (x * mono, oracle_mul(fa, half)), (mono * y, oracle_mul(half, fb)),
+        (x.shifted(k), {e + k: v for e, v in fa.items()}),
+        (x.dilated(m), {e * m: v for e, v in fa.items()}),
+        ((x * y).shifted(k), {e + k: v for e, v in xy.items()}),
+        ((x * y).dilated(m), {e * m: v for e, v in xy.items()}),
+        (x + 1, oracle_add(fa, {0: 1})), (1 - x, oracle_add({0: 1}, oracle_mul(fa, {0: -1}))),
+        (x * 3, oracle_mul(fa, {0: 3})), (x * s, oracle_mul(fa, {0: s})),
+        (x * Fraction(1, 2), oracle_mul(fa, {0: Fraction(1, 2)})),
+        (unit.inverse(), {-k: r}), (unit ** -2, {-2 * k: r * r}),
+        *zip(x.binomials(3), binoms),
+    ]
+    quotient = oracle_mul(fa, {0: r})
+    if x.is_integral() and any(Fraction(v).denominator != 1 for v in quotient.values()):
+        with pytest.raises(InexactDivisionError):
+            x.div_scalar_exact(s)
+    else:
+        cases.append((x.div_scalar_exact(s), quotient))
+    for result, want in cases:
+        assert_reduced(result, want)
 
 
 @given(coeff_dicts, coeff_dicts)
