@@ -522,8 +522,10 @@ class IntegralityReport(NamedTuple):
 def integrality_report(order: int) -> IntegralityReport:
     q = q_series(order).coeffs
     entries = []
-    # beta*q_k is q_k with its exponents raised by one
-    for label, coeffs in (("q", q), ("beta*q", [c.shifted(1) for c in q])):
+    # beta*q_k is q_k with its exponents raised by one; built from q_k's own
+    # Fraction view, which it keeps, so rendering it builds no Fraction
+    beta_q = [LaurentPoly("beta", {e + 1: v for e, v in c.coeffs.items()}) for c in q]
+    for label, coeffs in (("q", q), ("beta*q", beta_q)):
         for k, c in enumerate(coeffs):
             value = str(RationalFunction(c))
             if c.lo() >= 0:

@@ -6,6 +6,15 @@ there is none); `all` aggregates every suite.  Suites are deterministic in
 (order, seed): random elements come from a fresh Random(seed) per suite, so a
 suite reports identically whether run alone or inside `all`.
 
+`all` spreads its suites over the CPUs the process may run on
+(`os.sched_getaffinity`): it forks one worker per further CPU, up to one per
+suite beyond the first, and this process and every worker pull suites from
+one queue.  A report depends only on (suite, order, seed), the workers send
+back each report's checks and notes as JSON, and `all` assembles the reports
+in suite order, so its output cannot depend on which process ran which suite.
+With one CPU allowed, no `os.fork`, or another thread alive, `all` runs its
+suites one after another in this process.
+
 A suite with superlinear cost runs at a capped order.  `_CAPS` holds each
 such suite's floor, cap and report note, and `run_suite` alone applies them:
 corollary runs at 4..32, cartier at bi-order up to (12,12), expansions at
@@ -19,6 +28,8 @@ above COROLLARY_SIGN_MAX_ORDER (512) the same way.
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from functools import partial
 from itertools import accumulate, repeat
@@ -338,7 +349,93 @@ Q_INTEGRALITY_MAX_ORDER = 192
 COROLLARY_SIGN_MAX_ORDER = 512
 
 
+def _spare_cpus() -> int:
+    """How many workers `all` forks: one per allowed CPU beyond this
+    process's own, and fewer than there are suites.  Zero where fork or the
+    affinity calls are missing, or where another thread is alive: a child
+    forked then could inherit a lock that thread holds."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return 0
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 0
+    except OSError:
+        return 0
+    return min(len(os.sched_getaffinity(0)), len(_SUITES)) - 1
+
+
+def _reports(order: int, seed: int, defect: int | None, workers: int) -> list[VerificationReport]:
+    """Each suite's report at (order, seed), in `_SUITES` order, computed by
+    this process and `workers` forked children.
+
+    Every process pulls suite indices from one pipe, a byte each, so the load
+    balances itself, and is pinned to its own allowed CPU meanwhile.  A child
+    sends each report's checks and notes back as one JSON line and ends with
+    os._exit.  A suite that raised, or whose child died before reporting, is
+    run again here afterwards in suite order, so it raises as in a loop."""
+    names = list(_SUITES)
+
+    def run(i: int) -> VerificationReport:
+        return run_suite(names[i], order, seed, defect=defect if names[i] == "prop1" else None)
+
+    if not workers:
+        return [run(i) for i in range(len(names))]
+    reports: list[VerificationReport | None] = [None] * len(names)
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    todo, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    children: list[tuple[int, int]] = []
+    try:
+        for k in range(1, workers + 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the processes forked take its share
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                    with open(w, "w") as out:
+                        while byte := os.read(todo, 1):
+                            rep = run(byte[0])
+                            out.write(json.dumps([byte[0], rep.checks, rep.notes]) + "\n")
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        os.sched_setaffinity(0, {cpus[0]})
+        while byte := os.read(todo, 1):
+            try:
+                reports[byte[0]] = run(byte[0])
+            except Exception:  # raised again below, once every child has reported
+                break
+        for _, r in children:
+            with open(r, closefd=False) as results:
+                for line in results:
+                    if line.endswith("\n"):  # a child that died mid-line reported nothing
+                        j, checks, notes = json.loads(line)
+                        reports[j] = VerificationReport(
+                            names[j], order, tuple(Check(*c) for c in checks), seed, tuple(notes))
+    finally:
+        os.close(todo)
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+        os.sched_setaffinity(0, mask)
+    return [run(i) if rep is None else rep for i, rep in enumerate(reports)]
+
+
 def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> VerificationReport:
+    """The report of suite `name` at (order, seed); `defect` injects a bad
+    coordinate at T^defect in prop1 or prop2 (prop1 within `all`).  Every
+    input is checked before any suite runs.  `all` prefixes each suite's identities and notes with
+    its name, in suite order, whichever process of its fan-out (`_reports`)
+    ran the suite, so it prints what the suites run alone print."""
     if order < 1:
         raise TateCalcError("order must be at least 1")
     if name in ("prop2", "all") and order > PROP2_MAX_ORDER:
@@ -350,8 +447,7 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
     if name == "all":
         checks: list[Check] = []
         notes: list[str] = []
-        for sub in _SUITES:
-            rep = run_suite(sub, order, seed, defect=defect if sub == "prop1" else None)
+        for sub, rep in zip(_SUITES, _reports(order, seed, defect, _spare_cpus())):
             checks.extend(c._replace(identity=f"{sub}/{c.identity}") for c in rep.checks)
             notes.extend(f"{sub}: {n}" for n in rep.notes)
         return VerificationReport("all", order, tuple(checks), seed, tuple(notes))
