@@ -117,8 +117,6 @@ class _IntBasisElem:
     def __eq__(self, other: object) -> bool:
         if type(other) is type(self):
             return self.coords == other.coords
-        if isinstance(other, int):
-            return self.coords == ({} if other == 0 else {0: other})
         return NotImplemented
 
     __hash__ = None
@@ -287,11 +285,6 @@ class NotIntegral(NamedTuple):
     """Binomial-basis conversion result with non-integer coordinates."""
 
     coords: tuple[tuple[int, Fraction], ...]
-    fractional: tuple[tuple[int, Fraction], ...]
-
-    def __str__(self) -> str:
-        bad = ", ".join(f"c_{k}={v}" for k, v in self.fractional)
-        return f"NotIntegral{{{bad}}}"
 
 
 def to_binomial_basis(p: LaurentPoly) -> NumericalPoly | NotIntegral:
@@ -317,6 +310,4 @@ def to_binomial_basis(p: LaurentPoly) -> NumericalPoly | NotIntegral:
     diffs = [(k, d) for k, d in enumerate(_finite_differences(values)) if d]
     if all(d % den == 0 for _, d in diffs):
         return NumericalPoly({k: d // den for k, d in diffs})
-    coords = [(k, Fraction(d, den)) for k, d in diffs]
-    return NotIntegral(coords=tuple(coords),
-                       fractional=tuple((k, c) for k, c in coords if c.denominator != 1))
+    return NotIntegral(coords=tuple((k, Fraction(d, den)) for k, d in diffs))

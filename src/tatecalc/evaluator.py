@@ -157,8 +157,9 @@ class _EvalTate(_EvalBase):
     """The operator rule of both Tate contexts: a value of one of the
     context's `kinds` meets an int or a value of its own type.  Anything else,
     function results such as exp_bT() and partial_fractions(...) included, is
-    an EvalError.  Division is the ring's own `div`; a subclass also gives its
-    symbols, functions, and `lift`, how an int becomes an `element`."""
+    an EvalError.  A basis element (`kinds[1]`) over an int divides its
+    coordinates; other division is the ring's own `div`.  A subclass also
+    gives its symbols, functions, and `lift`, how an int becomes an `element`."""
 
     name: str
     kinds: tuple[type, ...]
@@ -175,6 +176,8 @@ class _EvalTate(_EvalBase):
 
     def binary(self, op: str, a, b):
         if op == "/":
+            if isinstance(a, self.kinds[1]) and isinstance(b, int):
+                return a.div_int_exact(b)
             return self.div(a, b)
         self._admit(op, a, b)
         return _ARITH[op](a, b)
@@ -222,8 +225,6 @@ class _EvalH(_EvalTate):
             return a.div_exact(b)
         if isinstance(a, LaurentPoly) and isinstance(b, int):
             return a.div_scalar_exact(b)
-        if isinstance(a, DividedPowerElem) and isinstance(b, int):
-            return a.div_int_exact(b)
         raise EvalError("division in tate_h needs exact Laurent or integer divisors")
 
     def call(self, e: Call):

@@ -251,8 +251,6 @@ class LaurentPoly:
 
         With `over_integers`, integral operands must give an integral quotient.
         """
-        if isinstance(other, (int, Fraction)):
-            return self.div_scalar_exact(other)
         self._require_same(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

@@ -100,9 +100,6 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             return self.gens == other.gens and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            zero = (0,) * len(self.gens)
-            return self.terms == ({} if other == 0 else {zero: Fraction(other)})
         return NotImplemented
 
     __hash__ = None
@@ -178,10 +175,6 @@ class MultiPoly:
         For exactly divisible inputs the greedy cancellation always succeeds;
         anything else raises InexactDivisionError.
         """
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
         self._require_same(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

@@ -329,8 +329,6 @@ class TruncSeries:
         self._require_ring(other)
         low = min(self.low, other.low)
         order = min(self.order, other.order)
-        if order < low:
-            raise DomainError("operands share no reliable coefficient range")
         coeffs = list(map(add, self._window(low, order), other._window(low, order)))
         return TruncSeries(self.ring, low, order, coeffs, self.var)
 
@@ -349,8 +347,6 @@ class TruncSeries:
         ring = self.ring
         low = self.low + other.low
         order = min(self.order + other.low, other.order + self.low)
-        if order < low:
-            raise DomainError("product has no reliable coefficients")
         n = order - low + 1
         coeffs = _accumulate(ring, n, _terms(ring, other.coeffs, 0), self.coeffs[:n])
         return TruncSeries(ring, low, order, coeffs, self.var)
@@ -475,8 +471,6 @@ class TruncSeries:
         # beyond this order the recurrence would touch divisor coefficients
         # past the divisor's own reliable order
         order = min(self.order - v, other.order - 2 * v + va)
-        if order < low:
-            raise DomainError("quotient has no reliable coefficients")
         # divisor terms past its lead, indexed by their distance from v
         b = _terms(ring, other.coeffs[v + 1 - other.low:], 1)
         div, coeff = ring.div_exact, self.coeff

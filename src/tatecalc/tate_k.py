@@ -143,10 +143,6 @@ class TateKElem:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TateKElem):
             return self.num == other.num and self.denom_pow == other.denom_pow
-        if isinstance(other, (int, LaurentPoly)):
-            return self == TateKElem(
-                other if isinstance(other, LaurentPoly) else LaurentPoly("q", {0: other})
-            )
         return NotImplemented
 
     __hash__ = None

@@ -183,7 +183,7 @@ def fraction_binomial_oracle(p: LaurentPoly) -> tuple[list, list]:
 
 def conversion_split(conv: NumericalPoly | NotIntegral) -> tuple[list, list]:
     if isinstance(conv, NotIntegral):
-        return list(conv.coords), list(conv.fractional)
+        return list(conv.coords), [(k, c) for k, c in conv.coords if c.denominator != 1]
     return [(k, Fraction(v)) for k, v in sorted(conv.coords.items())], []
 
 
@@ -196,7 +196,7 @@ def test_to_binomial_basis_examples():
     assert to_binomial_basis(x * x) == NumericalPoly({1: 1, 2: 2})
     half = to_binomial_basis((x + 1) * Fraction(1, 2))
     assert isinstance(half, NotIntegral)
-    assert dict(half.fractional)[0] == Fraction(1, 2)
+    assert dict(half.coords)[0] == Fraction(1, 2)
     assert to_binomial_basis(LaurentPoly.zero("x")) == NumericalPoly.zero()
     assert to_binomial_basis(LaurentPoly("x", {0: -7})) == NumericalPoly({0: -7})
 
@@ -266,3 +266,13 @@ def test_exactrational_invariants():
             assert gcd(abs(r.numerator), r.denominator) == 1
     assert Fraction(0, 7) == Fraction(0, 1)
     assert Fraction(0, 7).denominator == 1
+
+
+def test_binom_int_rejects_a_negative_index():
+    with pytest.raises(DomainError, match="^binomial index must be non-negative$"):
+        binom_int(5, -1)
+
+
+def test_repr_names_the_type_and_its_coordinates():
+    assert repr(DividedPowerElem({1: 2})) == "DividedPowerElem({1: 2})"
+    assert repr(NumericalPoly({0: -1, 3: 4})) == "NumericalPoly({0: -1, 3: 4})"

@@ -14,6 +14,7 @@ from tatecalc import cli, evaluator
 from tatecalc.basis import DividedPowerElem
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
+from tatecalc.parser import Num
 
 
 def run(capsys, *argv):
@@ -80,7 +81,11 @@ def test_unknown_symbol_exit_2(capsys):
     ["eval", "b/0"],
     ["eval", "c/(c-c)", "--ring", "tate_h"],
     ["eval", "b*T/(b-b)"],
-], ids=["series", "laurent", "divided-power", "zero-polynomial", "zero-series"])
+    ["eval", "1/0"],
+    ["eval", "beta/0"],
+    ["eval", "b/(b-b)", "--ring", "series"],
+], ids=["series", "laurent", "divided-power", "zero-polynomial", "zero-series", "scalar",
+        "numerical", "zero-coefficient"])
 def test_division_by_zero_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -248,6 +253,47 @@ def test_eval_values_that_once_raised_type_errors(capsys, expr, text):
     assert run(capsys, "eval", expr, "--order", "3") == (0, text + "\n", "")
 
 
+@pytest.mark.parametrize("argv,text", [
+    # tate_k: a pole prints as a factor, and division is by units
+    (["q/(1-q)"], "q * (1-q)^-1"),
+    (["1/q"], "q^-1"),
+    (["q^2*(1-q)^-1 + 3"], "(3 - 3*q + q^2) * (1-q)^-1"),
+    (["q^0"], "1"),
+    (["beta"], "binom(beta,1)"),
+    # a basis element over an int divides its coordinates, in either context
+    (["(2*beta_3)/2"], "binom(beta,3)"),
+    (["(2*b_3)/2"], "b_3"),
+    # scalar powers
+    (["2^3"], "8"),
+    (["2^-3"], "1/8"),
+    # tate_h: an int argument is lifted to Z[c,c^-1]
+    (["pi_minus(c+cinv)"], "c^-1"),
+    (["boundary(3)"], "0"),
+    # series mode
+    (["b^2*T", "--ring", "series"], "b^2 T"),
+    (["2/T"], "2*T^-1"),
+    (["(b*c)/c", "--ring", "series"], "b"),
+    # an expression that starts with '-' follows '--', in each context
+    (["--", "-c"], "-c"),
+    (["--", "-T"], "-T"),
+])
+def test_eval_values(capsys, argv, text):
+    assert run(capsys, "eval", *argv) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["1/2"], {"kind": "rational", "value": ["1", "2"]}),
+    (["c+1"], {"kind": "laurent", "var": "c", "terms": [[0, "1", "1"], [1, "1", "1"]]}),
+    (["b*c", "--ring", "series"], {"kind": "poly", "gens": ["b", "c"], "terms": [[[1, 1], "1", "1"]]}),
+    (["(1-q)^-1"], {"kind": "tate-k", "num": [[0, "1", "1"]], "denomPow": 1}),
+    (["q^2*(1-q)^-1 + 3"],
+     {"kind": "tate-k", "num": [[0, "3", "1"], [1, "-3", "1"], [2, "1", "1"]], "denomPow": 1}),
+], ids=["rational", "laurent", "poly", "tate-k", "tate-k-numerator"])
+def test_eval_json_of_each_value_kind(capsys, argv, value):
+    code, out, err = run(capsys, "eval", *argv, "--json")
+    assert (code, err, json.loads(out)["value"]) == (0, "", value)
+
+
 @pytest.mark.parametrize("expr,err", [
     # function results are final values in the Tate contexts
     ("(-exp_bT())", "cannot apply '-' to GradedTSeries in tate_h"),
@@ -277,6 +323,43 @@ def test_eval_typed_errors_where_type_errors_or_long_runs_were(capsys, expr, err
         assert run(capsys, "eval", expr, *extra) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["eval", "0^-1"], "zero has no negative powers"),
+    (["eval", "1/(q-q)"], "zero is not invertible"),
+    (["eval", "c+q"], "expression mixes H-side (c, b) and K-side (q, beta) symbols; pass --ring"),
+    (["eval", "boundary(b)"], "boundary expects an element of Z[c,c^-1]"),
+    (["eval", "c/b"], "division in tate_h needs exact Laurent or integer divisors"),
+    (["eval", "c/(c+2)"], "2 + c does not divide c"),
+    (["eval", "(c^2+1)/(c+1)"], "1 + c does not divide 1 + c^2"),
+    (["eval", "(3*b_2)/2"], "coordinate 3 of b_2 is not divisible by 2"),
+    (["eval", "beta_2/2"], "coordinate 1 of binom(beta,2) is not divisible by 2"),
+    (["eval", "beta/q"], "division in tate_k requires unit divisors"),
+    (["eval", "quotient(c)", "--ring", "tate_h"],
+     "function 'quotient' is not available in the tate_h ring"),
+    (["eval", "q", "--ring", "tate_h"], "symbol 'q' is not available in the tate_h ring"),
+    (["eval", "c", "--ring", "tate_k"], "symbol 'c' is not available in the tate_k ring"),
+    (["eval", "boundary(c)", "--ring", "series"],
+     "function 'boundary' is not available in series mode"),
+    (["eval", "b_2", "--ring", "series"], "symbol 'b_2' is not available in series mode"),
+    (["eval", "b^-1*T"], "polynomial generators have no negative powers in series mode"),
+    (["eval", "adams(0, q)"], "adams expects a positive integer index"),
+    (["eval", "adams(2, (1-q)^-1)"],
+     "adams acts on Z[q^±1] here: psi^k((1-q)^-1) leaves the ring "
+     "(use `expand` and apply adams on the series target)"),
+    (["eval", "expand(q, 2)"],
+     "expand puncture must be 0, 1, or a local coordinate q/u/s (s = infinity)"),
+    (["eval", "bernoulli(-1)"], "bernoulli expects a non-negative integer index"),
+    (["eval", "b/c", "--ring", "series"], "polynomial division leaves a remainder"),
+    (["eval", "binomial_series()^-1"], "ring Z[beta_*] has no inverses"),
+    (["eval", "binomial_series()/binomial_series()"], "ring Z[beta_*] has no exact division"),
+    (["expand", "q", "--at", "0", "--order", "-1"], "order must be non-negative"),
+    (["expand", "beta_2", "--at", "0"], "expand needs an element of Z[q^±1, (1-q)^-1]"),
+    (["verify", "prop1", "--order", "0"], "order must be at least 1"),
+])
+def test_typed_errors_exit_2_with_one_line(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_eval_order_zero_drops_the_higher_given_terms(capsys):
     # 1 - q T is built with order 0 before inverting, so its T term is dropped
     code, out, err = run(capsys, "eval", "geom(q)", "--order", "0")
@@ -302,6 +385,25 @@ def test_scalar_multiplication_and_division_name_themselves_on_a_non_coefficient
         with pytest.raises(EvalError) as info:
             call()
         assert str(info.value) == f"{what} needs a coefficient, not DividedPowerElem"
+
+
+def test_evaluator_guards_behind_the_cli():
+    # argparse `choices`, the parser's node types and the value kinds each
+    # evaluator path returns keep these out of the CLI's reach
+    with pytest.raises(EvalError, match="unknown ring hint 'tate'"):
+        evaluator.evaluate(Num(1), "tate")
+    with pytest.raises(EvalError, match="cannot evaluate node 'q'"):
+        evaluator.evaluate("q", "tate_k")
+    with pytest.raises(EvalError, match="no JSON rendering for object"):
+        evaluator.value_json(object())
+
+
+def test_print_reraises_a_value_error_that_is_not_the_digit_limit():
+    def render():
+        raise ValueError("math domain error")
+
+    with pytest.raises(ValueError, match="math domain error"):
+        cli._print(render)
 
 
 @pytest.mark.parametrize("expr,text", [
@@ -443,6 +545,14 @@ def test_eval_runs_at_the_series_bound(capsys, monkeypatch):
     assert run(capsys, "eval", "geom(cinv)", "--order", "6") == (
         2, "", "error: order 6 is above the series bound 5\n")
     assert run(capsys, "eval", "expand(qinv, 0)", "--order", "6")[0] == 0
+
+
+def test_report_expansion_sign_json(capsys):
+    code, out, err = run(capsys, "report", "expansion-sign", "--order", "4", "--json")
+    payload = json.loads(out)
+    assert (code, err, payload["report"], payload["order"]) == (0, "", "expansion-sign", 4)
+    assert payload["qInvAtS"] == {"ring": "ZZ", "var": "s", "low": 1, "order": 4,
+                                  "coeffs": [["-1", "1"]] * 4}
 
 
 def test_report_signs(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from tatecalc.errors import DomainError, PrecisionError
 from tatecalc.laurent import LaurentPoly
-from tatecalc.series import ZZ, TruncSeries
+from tatecalc.series import QQ, ZZ, TruncSeries
 from tatecalc import expansions as ex
 from tatecalc.tate_k import ONE_MINUS_Q, TateKElem, _binomial_row
 
@@ -225,3 +225,8 @@ def test_long_rows_and_large_poles_match_image_products():
         for puncture in ex.Puncture:
             got, want = ex.expand(x, puncture, 140), reference_expand(x, puncture, 140)
             assert (got.low, got.order, got.coeffs) == (want.low, want.order, want.coeffs)
+
+
+def test_adams_on_series_needs_an_integer_series():
+    with pytest.raises(DomainError, match="^Adams dilation acts on integer Laurent series$"):
+        ex.adams_on_series(2, TruncSeries.one(QQ, 4), 4)

@@ -6,7 +6,9 @@ asserts exit 1 (a failed identity, not a usage error) with the first failing
 check in the named suite.  The kernel rows add the ring's one to the T^5
 coefficient of each result; the structural rows break one product or one
 dilation.  The table records which suite sees each defect first at this
-order, so a change to the suites' caps or orders shows up here.
+order, so a change to the suites' caps or orders shows up here.  A second
+table breaks an operation that one of the suites' random searches checks,
+runs that suite alone in process, and pins the defect text it reports.
 """
 
 import pytest
@@ -84,3 +86,52 @@ def test_a_broken_engine_fails_verify_all_in_the_named_suite(monkeypatch, capsys
     assert code == 1, out
     first_fail = next(line for line in out.splitlines() if line.startswith("  [FAIL] "))
     assert first_fail.removeprefix("  [FAIL] ").split("/")[0] == suite, out
+
+
+# -- the random searches' defect texts ---------------------------------------------
+
+
+def patch(mp, module, name, wrap):
+    """Replace `module.name` by `wrap(real)`."""
+    mp.setattr(module, name, wrap(getattr(module, name)))
+
+
+# (mutation, how to apply it, suite, the failing check, its first defect at order 8, seed 1)
+SEARCH_ROWS = [
+    ("partial fractions off by one", lambda mp: patch(
+        mp, tate_k, "partial_fractions",
+        lambda real: lambda x: (pf := real(x))._replace(poly_part=pf.poly_part + 1)),
+     "exactness-k", "partial fractions reconstruct exactly, integer poles (200 random)",
+     "element #0: (-6*q^-2 - 7*q^3) * (1-q)^-3"),
+    ("expand +1 at T^5", lambda mp: break_result(mp, [expansions], "expand"),
+     "expansions", "expansion at 0 is a ring homomorphism (100 random pairs)",
+     "additivity, pair #0"),
+    ("expand doubled", lambda mp: patch(
+        mp, expansions, "expand", lambda real: lambda *args: real(*args).scalar_mul(2)),
+     "expansions", "expansion at 0 is a ring homomorphism (100 random pairs)",
+     "multiplicativity, pair #0"),
+    ("psi^k plus one", lambda mp: patch(
+        mp, tate_k, "adams_on_laurent", lambda real: lambda k, x: real(k, x) + 1),
+     "adams", "psi^k is a ring homomorphism on Z[q^±1] (100 random pairs)",
+     "psi^2 multiplicativity, pair #0"),
+    ("psi^k squared", lambda mp: patch(
+        mp, tate_k, "adams_on_laurent", lambda real: lambda k, x: real(k, x) * real(k, x)),
+     "adams", "psi^k is a ring homomorphism on Z[q^±1] (100 random pairs)",
+     "psi^2 additivity, pair #0"),
+    ("psi^k is psi^(k+1)", lambda mp: patch(
+        mp, tate_k, "adams_on_laurent", lambda real: lambda k, x: real(k + 1, x)),
+     "adams", "psi^k o psi^l = psi^(kl) for k,l <= 5", "psi^1 o psi^1 != psi^1 on -9*q^5"),
+    ("series psi^k is psi^(k+1)", lambda mp: patch(
+        mp, expansions, "adams_on_series", lambda real: lambda k, x, o: real(k + 1, x, o)),
+     "adams", "psi composition law holds on expansion targets",
+     "series psi^1 o psi^1 on a random expansion"),
+]
+
+
+@pytest.mark.parametrize("apply,suite,identity,defect", [row[1:] for row in SEARCH_ROWS],
+                         ids=[row[0] for row in SEARCH_ROWS])
+def test_a_random_search_names_its_first_failing_trial(monkeypatch, apply, suite, identity,
+                                                       defect):
+    apply(monkeypatch)
+    checks = {c.identity: c.first_defect for c in verify.run_suite(suite, 8, 1).checks}
+    assert checks[identity] == defect

@@ -4,7 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from tatecalc.errors import InexactDivisionError, NotInvertibleError
+from tatecalc.errors import (
+    DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError,
+)
 from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly, RationalFunction
 
@@ -139,3 +141,26 @@ class TestRationalFunction:
 
     def test_zero_renders_0(self):
         assert self.shown({}) == "0"
+
+
+@pytest.mark.parametrize("expo", [(1,), (0, -1)])
+def test_constructor_rejects_a_bad_exponent_vector(expo):
+    with pytest.raises(DomainError, match="^bad exponent vector"):
+        MultiPoly(("x", "y"), {expo: 1})
+
+
+def test_polynomials_over_other_generators_do_not_combine():
+    with pytest.raises(VariableMismatchError,
+                       match=r"^cannot combine polynomials over \('x',\) and \('y',\)$"):
+        MultiPoly.var(("x",), "x") + MultiPoly.var(("y",), "y")
+
+
+def test_div_int_by_zero():
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        MultiPoly.var(("x",), "x").div_int(0)
+
+
+def test_reprs():
+    assert repr(MultiPoly(("x",), {(2,): 3})) == "MultiPoly(('x',), {(2,): Fraction(3, 1)})"
+    assert repr(RationalFunction(LaurentPoly("beta", {-1: 1}))) == (
+        "RationalFunction(LaurentPoly('beta', {0: 1}), LaurentPoly('beta', {1: 1}))")

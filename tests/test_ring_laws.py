@@ -7,13 +7,18 @@ ring axioms, n - x == -(x - n) for an int n, and the round trip
 (x * n) / n == x.
 """
 
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tatecalc.basis import DividedPowerElem, NumericalPoly
 from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly
-from tatecalc.series import QQ, ZZ, laurent_coeff_ring, numerical_ring, poly_ring
+from tatecalc.series import (
+    QQ, ZZ, TruncSeries, laurent_coeff_ring, numerical_ring, poly_ring,
+)
+from tatecalc.tate_k import TateKElem
 
 small_ints = st.integers(-6, 6)
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -115,3 +120,26 @@ def test_integer_scaling_round_trips_through_exact_division(case, data, n):
 def test_integer_basis_division_by_zero(cls):
     with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
         cls({1: 2}).div_int_exact(0)
+
+
+@pytest.mark.parametrize("a,b", [
+    (DividedPowerElem.basis(1), NumericalPoly.basis(1)),
+    (LaurentPoly("b", {1: 1}), DividedPowerElem.basis(1)),
+    (MultiPoly.var(("b",), "b"), LaurentPoly("b", {1: 1})),
+], ids=["two-bases", "laurent-basis", "poly-laurent"])
+def test_two_element_types_neither_compare_equal_nor_combine(a, b):
+    # each type's operators return NotImplemented for the other, so == falls
+    # back to identity and + and * raise TypeError
+    assert not a == b and not b == a
+    for op in (operator.add, operator.mul):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                op(x, y)
+
+
+def test_a_series_and_a_tate_k_element_equal_no_other_type():
+    s = TruncSeries.one(ZZ, 2)
+    assert not s == 1
+    with pytest.raises(TypeError):
+        s + 1
+    assert not TateKElem.one() == LaurentPoly.one("q")

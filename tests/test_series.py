@@ -20,10 +20,12 @@ from hypothesis import assume, given, settings, strategies as st
 from tatecalc.errors import (
     CapabilityError,
     DomainError,
+    InexactDivisionError,
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
 )
+from tatecalc import series
 from tatecalc.laurent import LaurentPoly
 from tatecalc.multipoly import MultiPoly
 from tatecalc.series import (
@@ -662,3 +664,37 @@ def test_agreement_past_a_reliable_order_raises_as_a_scan_would():
     c = TruncSeries.from_coeffs(ZZ, 0, [1, 5], order=4)
     assert not a.agrees_with(c, through=9) and not c.agrees_with(a, through=9)
     assert a + b == b + a == TruncSeries.from_coeffs(ZZ, -1, [0, 2, 4, 6], order=4)
+
+
+def test_zz_division_and_inverse_are_partial():
+    with pytest.raises(InexactDivisionError, match="^3 is not divisible by 2$"):
+        ZZ.div_int(3, 2)
+    with pytest.raises(NotInvertibleError, match="^2 is not a unit in Z$"):
+        TruncSeries.from_coeffs(ZZ, 0, [2, 1], order=3).inverse()
+
+
+def test_constructor_checks_the_window():
+    with pytest.raises(DomainError, match="^order 1 below lowest exponent 2$"):
+        TruncSeries(QQ, 2, 1, [])
+    with pytest.raises(DomainError, match="^expected 3 coefficients for exponents 0..2, got 2$"):
+        TruncSeries(QQ, 0, 2, [1, 2])
+    with pytest.raises(DomainError, match="^truncation below the lowest exponent$"):
+        TruncSeries.from_coeffs(ZZ, 2, [1, 1]).truncated(1)
+
+
+def test_equal_series_share_their_order_and_an_int_factor_scales_either_side():
+    s = TruncSeries.from_coeffs(ZZ, 0, [1, 2, 3])
+    assert s != s.truncated(1)
+    assert 2 * s == s * 2 == s.scalar_mul(2)
+    assert repr(s) == "TruncSeries(ZZ, low=0, order=2, T; 1 + 2*T + 3*T^2)"
+
+
+def test_bernoulli_guards_and_a_cold_cache(monkeypatch):
+    with pytest.raises(DomainError, match="^order must be non-negative$"):
+        bernoulli_minus(-1)
+    with pytest.raises(DomainError, match="^Bernoulli index must be non-negative$"):
+        bernoulli_number(-1)
+    # as in a fresh process: the first index builds the cache through B_16
+    monkeypatch.setattr(series, "_bernoulli_cache", [])
+    assert bernoulli_number(2) == Fraction(1, 6)
+    assert len(series._bernoulli_cache) == 17

@@ -282,3 +282,8 @@ def test_corollary_report():
     assert rep.passed, str(rep)
     sign_note = next(c.note for c in rep.checks if c.identity == "unique Bernoulli-form sign")
     assert "+1" in sign_note
+
+
+def test_verify_corollary_rejects_order_zero():
+    with pytest.raises(DomainError, match="^order must be at least 1$"):
+        tate_h.verify_corollary(0)

@@ -503,3 +503,17 @@ def test_adams_composition_law():
 def test_adams_rejects_bad_index():
     with pytest.raises(DomainError):
         tate_k.adams_on_laurent(0, q_poly({1: 1}))
+
+
+def test_library_guards():
+    with pytest.raises(DomainError, match="^denominator power must be non-negative$"):
+        TateKElem(LaurentPoly.one("q"), -1)
+    with pytest.raises(TypeError, match="^cannot coerce 0.5 into the Tate K ring$"):
+        TateKElem.one() + 0.5
+    with pytest.raises(DomainError, match="^order must be at least 1$"):
+        tate_k.verify_prop2(0)
+
+
+def test_repr():
+    assert repr(TateKElem(LaurentPoly("q", {1: 1}), 2)) == (
+        "TateKElem(LaurentPoly('q', {1: 1}), denom_pow=2)")

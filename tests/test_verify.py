@@ -10,7 +10,7 @@ import pytest
 
 from tatecalc import verify
 from tatecalc.cli import main
-from tatecalc.errors import DomainError
+from tatecalc.errors import DomainError, TateCalcError
 from tatecalc.laurent import LaurentPoly
 from tatecalc.report import Check, VerificationReport
 
@@ -216,3 +216,21 @@ def test_a_fork_that_fails_leaves_its_share_to_the_processes_forked(monkeypatch,
     set_workers(monkeypatch, 3)
     assert_same_report(verify.run_suite("all", 24, 3), suites_run_alone(24, 3))
     assert len(forks) == 2
+
+
+def test_run_suite_names_the_suites_for_an_unknown_one():
+    with pytest.raises(TateCalcError, match="^unknown suite 'nosuch'; choose from prop1, .*, all$"):
+        verify.run_suite("nosuch", 8, 1)
+
+
+def test_no_worker_without_the_affinity_calls(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert verify._spare_cpus() == 0
+
+
+def test_no_worker_when_the_thread_list_cannot_be_read(monkeypatch):
+    def unreadable(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert verify._spare_cpus() == 0
