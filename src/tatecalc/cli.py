@@ -11,6 +11,10 @@ The argparse parser is built once per process, on the first `main` call, and
 reused: `parse_args` keeps no state between calls (each call gets a new
 namespace, usage errors look up `sys.stderr` when they print, and `prog` is
 fixed), so a long-lived caller pays for `build_parser` once, not per query.
+
+`entry`, the script's entry point, flushes the output and ends the process
+with `os._exit`, skipping interpreter finalization; `main` returns its exit
+code and leaves the process to its caller.
 """
 
 from __future__ import annotations
@@ -178,15 +182,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The `tatecalc` script and `python -m tatecalc.cli`: `main` on the
+    process's arguments, then the end of the process.
+
+    Once the output is flushed the process ends by `os._exit`, without
+    interpreter finalization: tearing down the modules and objects of a run
+    took 10-25 ms per process, after everything was written, and tatecalc
+    registers no `atexit` handler and leaves no file, child or thread open
+    by then.  A caller that needs the normal shutdown (a `-X dev` run that
+    should report unclosed resources, say) calls `main` instead."""
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe then fails here, not at shutdown
+        sys.stderr.flush()
     except BrokenPipeError:
         # the reader went away (`tatecalc ... | head`): send what Python would
         # still flush at exit to devnull and end quietly, as for SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

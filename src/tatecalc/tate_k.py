@@ -147,14 +147,16 @@ class TateKElem:
 
     __hash__ = None
 
-    def _coerce(self, other) -> TateKElem:
+    def _coerce(self, other) -> TateKElem | None:
+        """`other` as an element of this ring, or None for an operand the
+        ring does not know, for which an operator returns NotImplemented."""
         if isinstance(other, TateKElem):
             return other
         if isinstance(other, LaurentPoly):
             return TateKElem(other)
         if isinstance(other, int):
             return TateKElem(LaurentPoly("q", {0: other}))
-        raise TypeError(f"cannot coerce {other!r} into the Tate K ring")
+        return None
 
     def __neg__(self) -> TateKElem:
         return TateKElem._reduced(-self.num, self.denom_pow)
@@ -163,6 +165,8 @@ class TateKElem:
         """Over the common pole order: the numerator with the lower one gains
         the missing power of (1-q)."""
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         d = self.denom_pow - o.denom_pow
         if d == 0:
             return TateKElem._reduced(self.num + o.num, self.denom_pow)
@@ -173,15 +177,19 @@ class TateKElem:
     __radd__ = __add__
 
     def __sub__(self, other) -> TateKElem:
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> TateKElem:
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else (-self) + o
 
     def __mul__(self, other) -> TateKElem:
         if isinstance(other, int):
             return TateKElem._reduced(self.num * other, self.denom_pow)
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return TateKElem._reduced(self.num * o.num, self.denom_pow + o.denom_pow)
 
     __rmul__ = __mul__

@@ -437,6 +437,46 @@ def test_closed_pipe_exits_1_without_traceback():
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
+def fresh_cli(*argv):
+    """`python -m tatecalc.cli *argv` in a new process, which ends by `entry`:
+    its exit code, and its stdout and stderr read from pipes to EOF.  Its
+    stdout is block-buffered, as for any reader of a pipe."""
+    src = Path(tatecalc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "tatecalc.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_a_fresh_process_writes_all_that_main_prints(capsys):
+    # the JSON runs to megabytes, so skipping finalization must not cut it short
+    argv = ["report", "q-integrality", "--order", "128", "--json"]
+    code, out, err = fresh_cli(*argv)
+    assert (code, out, err) == run(capsys, *argv)
+    assert code == 0 and len(out) > 2**20 and out.endswith("}\n")
+
+
+@pytest.mark.parametrize("argv,want_code", [
+    (["verify", "all", "--order", "8"], 0),
+    (["verify", "all", "--order", "8", "--defect", "3"], 1),
+    (["eval", "1 +"], 2),
+    (["verify", "nosuch"], 2),
+    (["--help"], 0),
+], ids=["pass", "fail", "parse-error", "usage-error", "help"])
+def test_entry_exits_with_the_code_and_output_of_main(capsys, monkeypatch, argv, want_code):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage and help to
+    want = run(capsys, *argv)
+    assert want[0] == want_code and fresh_cli(*argv) == want
+    code, out, err = want
+    if code == 2:
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]]
+    if argv == ["--help"]:
+        assert out.startswith("usage: tatecalc ") and "{eval,verify,expand,report}" in out
+        assert out.endswith("\n") and err == ""
+
+
 def test_expand_text(capsys):
     code, out, _ = run(capsys, "expand", "(1-q)^-1", "--at", "0", "--order", "5")
     assert code == 0

@@ -5,11 +5,13 @@ operation by monkeypatch, runs `verify all --order 24` through the CLI, and
 asserts exit 1 (a failed identity, not a usage error) with the first failing
 check in the named suite.  The kernel rows add the ring's one to the T^5
 coefficient of each result; the structural rows break one product or one
-dilation.  The table records which suite sees each defect first at this
+dilation, or halve the pole coefficients of the partial fractions.  The table records which suite sees each defect first at this
 order, so a change to the suites' caps or orders shows up here.  A second
 table breaks an operation that one of the suites' random searches checks,
 runs that suite alone in process, and pins the defect text it reports.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +62,13 @@ def break_dilation(mp):
     mp.setattr(LaurentPoly, "dilated", lambda x, k: real(x, 4 if k == 3 else k))
 
 
+def halve_poles(mp):
+    """Partial fractions whose pole coefficients are halved, so not integers."""
+    real = tate_k.partial_fractions
+    mp.setattr(tate_k, "partial_fractions", lambda x: (pf := real(x))._replace(
+        pole_coeffs=tuple(Fraction(a, 2) for a in pf.pole_coeffs)))
+
+
 # (mutation, how to apply it, the suite of the first failing check)
 ROWS = [
     ("_mul_series", break_kernel("_mul_series"), "corollary"),
@@ -73,6 +82,7 @@ ROWS = [
     ("DividedPowerElem._product +1 at b_5", break_divided_powers, "exactness-h"),
     ("numerical_mul +1 at beta_5", break_numerical_mul, "cartier"),
     ("dilated gives psi^4 for psi^3", break_dilation, "adams"),
+    ("partial fractions with halved poles", halve_poles, "exactness-k"),
 ]
 
 
@@ -103,6 +113,14 @@ SEARCH_ROWS = [
         lambda real: lambda x: (pf := real(x))._replace(poly_part=pf.poly_part + 1)),
      "exactness-k", "partial fractions reconstruct exactly, integer poles (200 random)",
      "element #0: (-6*q^-2 - 7*q^3) * (1-q)^-3"),
+    ("partial fractions with halved poles", halve_poles,
+     "exactness-k", "partial fractions reconstruct exactly, integer poles (200 random)",
+     "element #0: non-integer pole coefficients "
+     "(Fraction(-39, 2), Fraction(9, 2), Fraction(-13, 2))"),
+    ("quotient map on halved poles", halve_poles,
+     "exactness-k", "quotient kernel is exactly Z[q^±1] (200 random elements)",
+     "the quotient map raised: binomial-basis coordinates must be integers, "
+     "got Fraction(54, 1)"),
     ("expand +1 at T^5", lambda mp: break_result(mp, [expansions], "expand"),
      "expansions", "expansion at 0 is a ring homomorphism (100 random pairs)",
      "additivity, pair #0"),

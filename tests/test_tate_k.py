@@ -5,6 +5,7 @@ The Cartier oracle re-derives the identity in Q[beta] via symbolic binomials,
 independently of the numerical-polynomial multiplication it certifies.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -508,10 +509,36 @@ def test_adams_rejects_bad_index():
 def test_library_guards():
     with pytest.raises(DomainError, match="^denominator power must be non-negative$"):
         TateKElem(LaurentPoly.one("q"), -1)
-    with pytest.raises(TypeError, match="^cannot coerce 0.5 into the Tate K ring$"):
+    with pytest.raises(TypeError,
+                       match=r"^unsupported operand type\(s\) for \+: 'TateKElem' and 'float'$"):
         TateKElem.one() + 0.5
     with pytest.raises(DomainError, match="^order must be at least 1$"):
         tate_k.verify_prop2(0)
+
+
+class _Reflected:
+    """An operand TateKElem does not know, with the reflected operators."""
+
+    def __radd__(self, other):
+        return "radd"
+
+    def __rsub__(self, other):
+        return "rsub"
+
+    def __rmul__(self, other):
+        return "rmul"
+
+
+@pytest.mark.parametrize("op,symbol,reflected", [
+    (operator.add, "+", "radd"), (operator.sub, "-", "rsub"), (operator.mul, "*", "rmul"),
+])
+def test_an_unknown_operand_gets_not_implemented(op, symbol, reflected):
+    # Python then tries the other operand's reflected method, or raises its own TypeError
+    x = TateKElem(q_poly({1: 2}), 1)
+    assert op(x, _Reflected()) == reflected
+    for a, b, types in ((x, 0.5, "'TateKElem' and 'float'"), (0.5, x, "'float' and 'TateKElem'")):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: {types}$"):
+            op(a, b)
 
 
 def test_repr():

@@ -129,6 +129,34 @@ def test_all_equals_its_suites_run_alone(workers, monkeypatch, no_child_left):
             assert_same_report(verify.run_suite("all", order, seed), suites_run_alone(order, seed))
 
 
+def test_the_pull_order_lists_every_suite_exactly_once():
+    assert sorted(verify._PULL_ORDER) == sorted(verify._SUITES)
+
+
+@needs_fork
+def test_the_fan_out_pulls_its_suites_in_the_pull_order(monkeypatch, no_child_left):
+    # with the one fork failing, this process pulls the whole queue itself
+    want = suites_run_alone(8, 1)
+    pulled = []
+
+    def logged(name, suite):
+        def run(order, rng, defect):
+            pulled.append(name)
+            return suite(order, rng, defect)
+        return run
+
+    for name, suite in list(verify._SUITES.items()):
+        monkeypatch.setitem(verify._SUITES, name, logged(name, suite))
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    set_workers(monkeypatch, 1)
+    assert_same_report(verify.run_suite("all", 8, 1), want)
+    assert pulled == list(verify._PULL_ORDER)
+
+
 @needs_fork
 def test_all_forks_a_worker_per_spare_cpu_and_none_beside_a_thread(no_child_left):
     mask = os.sched_getaffinity(0)
