@@ -139,6 +139,8 @@ def _cmd_report(args: argparse.Namespace) -> Outcome:
     if args.name == "q-integrality":
         rep = tate_k.integrality_report(args.order)
         return 0, rep.to_json, rep.__str__
+    if args.order < 0:
+        raise TateCalcError("order must be non-negative")
     order = max(args.order, 4)
     if args.name == "corollary-sign":
         res = tate_h.c_series_from_b(order)

@@ -297,9 +297,7 @@ class _EvalSeries(_EvalBase):
         self.ring = poly_ring(*self.gens) if self.gens else QQ
 
     def _const(self, value):
-        if self.gens:
-            return MultiPoly.const(self.gens, value)
-        return Fraction(value)
+        return self.ring.one * value
 
     def symbol(self, name: str):
         if name == "T":
@@ -340,7 +338,7 @@ class _EvalSeries(_EvalBase):
             return _ARITH[op](a, b)  # MultiPoly takes ints and Fractions itself
         if op == "*":
             s, v = (a, b) if isinstance(a, TruncSeries) else (b, a)
-            if isinstance(v, int):  # lifted through the series' own ring
+            if isinstance(v, int):  # each coefficient takes it through its own *
                 return s.scalar_mul(v)
             if not isinstance(v, TruncSeries) and s.ring.name == self.ring.name:
                 return s.scalar_mul(self._coeff(v, "scalar multiplication"))

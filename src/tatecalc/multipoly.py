@@ -164,11 +164,6 @@ class MultiPoly:
             return MultiPoly.const(self.gens, 1)
         return power(self, n)
 
-    def div_int(self, n: int) -> MultiPoly:
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        return MultiPoly(self.gens, {e: v / n for e, v in self.terms.items()})
-
     def div_exact(self, other: MultiPoly) -> MultiPoly:
         """Exact polynomial division by leading-term elimination (lex order).
 

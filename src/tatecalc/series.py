@@ -6,10 +6,11 @@ pessimistically from its inputs, and reading past the reliable order raises
 PrecisionError.  Coefficients below `low` are exactly zero by construction.
 
 Coefficient rings are described by a Ring record: the elements' own + - * ==
-do the arithmetic, and the record supplies what differs between rings (names,
-constants, division, inverses, and an accumulator that sums products without
-normalising each one).  The same engine runs over Q, Z, Q[x], Q[x,y],
-Laurent rings such as Q[beta^±1], and numerical polynomials.
+do the arithmetic, by an int too (exp and log divide by n as * Fraction(1, n)),
+and the record supplies what differs between rings (names, constants, exact
+division, inverses, and an accumulator that sums products without normalising
+each one).  The same engine runs over Q, Z, Q[x], Q[x,y], Laurent rings such
+as Q[beta^±1], and numerical polynomials.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from .multipoly import MultiPoly
 
 
 class Ring(NamedTuple):
-    """Operations contract for a coefficient ring whose elements support + - * ==.
+    """Operations contract for a coefficient ring whose elements support + - * ==,
+    with an int on either side of *.
 
-    `rational` marks rings with exact division by every nonzero integer;
-    exp/log are typed errors without it.  `inv` and `div_exact` are partial:
-    they raise NotInvertibleError / InexactDivisionError where undefined.
+    `rational` marks rings whose elements also multiply by a Fraction, so that
+    x * Fraction(1, n) divides by every nonzero int n; exp/log are typed errors
+    without it.  `inv` and `div_exact` are partial: they raise
+    NotInvertibleError / InexactDivisionError where undefined.
     `accumulator`, where set, makes an empty sum of products with
     `add(x, y)` and `value()`; the series kernel keeps one per output
     coefficient, so a ring can sum products without normalising each one.
@@ -48,8 +51,6 @@ class Ring(NamedTuple):
     name: str
     zero: Any
     one: Any
-    div_int: Callable[[Any, int], Any]
-    from_int: Callable[[int], Any]
     rational: bool = True
     inv: Callable[[Any], Any] | None = None
     div_exact: Callable[[Any, Any], Any] | None = None
@@ -72,14 +73,12 @@ QQ = Ring(
     name="QQ",
     zero=Fraction(0),
     one=Fraction(1),
-    div_int=lambda a, n: a / n,
     inv=lambda a: Fraction(1) / a,
     div_exact=lambda a, b: a / b,
-    from_int=Fraction,
 )
 
 
-def _zz_div_int(a: int, n: int) -> int:
+def _zz_div_exact(a: int, n: int) -> int:
     if a % n:
         raise InexactDivisionError(f"{a} is not divisible by {n}")
     return a // n
@@ -95,11 +94,9 @@ ZZ = Ring(
     name="ZZ",
     zero=0,
     one=1,
-    div_int=_zz_div_int,
     rational=False,
     inv=_zz_inv,
-    div_exact=_zz_div_int,
-    from_int=int,
+    div_exact=_zz_div_exact,
 )
 
 
@@ -109,10 +106,8 @@ def poly_ring(*gens: str) -> Ring:
         name="QQ[" + ",".join(gens) + "]",
         zero=MultiPoly.zero(gens),
         one=MultiPoly.const(gens, 1),
-        div_int=lambda a, n: a.div_int(n),
         inv=_poly_inv,
         div_exact=lambda a, b: a.div_exact(b),
-        from_int=lambda n: MultiPoly.const(gens, n),
         accumulator=lambda: MultiPoly.accumulator(gens),
     )
 
@@ -125,19 +120,13 @@ def _poly_inv(a: MultiPoly) -> MultiPoly:
 
 def laurent_coeff_ring(var: str, integral: bool = False) -> Ring:
     """Z[var^±1] (integer division only where exact) or Q[var^±1]."""
-    if integral:
-        base, div_int = "ZZ", LaurentPoly.div_scalar_exact
-    else:
-        base, div_int = "QQ", lambda a, n: a * Fraction(1, n)
     return Ring(
-        name=f"{base}[{var}^±1]",
+        name=f"{'ZZ' if integral else 'QQ'}[{var}^±1]",
         zero=LaurentPoly.zero(var),
         one=LaurentPoly.one(var),
-        div_int=div_int,
         rational=not integral,
         inv=lambda a: a.inverse(),
         div_exact=lambda a, b: a.div_exact(b, over_integers=integral),
-        from_int=lambda n: LaurentPoly(var, {0: n}),
         accumulator=lambda: LaurentPoly.accumulator(var),
     )
 
@@ -147,9 +136,7 @@ def numerical_ring() -> Ring:
         name="Z[beta_*]",
         zero=NumericalPoly.zero(),
         one=NumericalPoly.one(),
-        div_int=lambda a, n: a.div_int_exact(n),
         rational=False,
-        from_int=lambda n: NumericalPoly({0: n}),
     )
 
 
@@ -353,9 +340,7 @@ class TruncSeries:
 
     def scalar_mul(self, value) -> TruncSeries:
         """Multiply by a ring element or int."""
-        ring = self.ring
-        elem = ring.from_int(value) if isinstance(value, int) else value
-        return TruncSeries(ring, self.low, self.order, [c * elem for c in self.coeffs], self.var)
+        return TruncSeries(self.ring, self.low, self.order, [c * value for c in self.coeffs], self.var)
 
     def shifted(self, k: int) -> TruncSeries:
         """Multiply by var^k (exactly)."""
@@ -425,10 +410,10 @@ class TruncSeries:
             raise CapabilityError(f"exp needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("exp", ring.zero)
         a = [self.coeff(k) for k in range(1, self.order + 1)]
-        ka = [(k, c * ring.from_int(k)) for k, c in _terms(ring, a, 1)]
-        one, div_int = ring.one, ring.div_int
+        ka = [(k, c * k) for k, c in _terms(ring, a, 1)]
+        one = ring.one
         # e_n = (sum_{k=1..n} k a_k e_{n-k}) / n, e_0 = 1
-        e = _accumulate(ring, self.order + 1, ka, lambda n, s: div_int(s, n) if n else one)
+        e = _accumulate(ring, self.order + 1, ka, lambda n, s: s * Fraction(1, n) if n else one)
         return TruncSeries(ring, 0, self.order, e, self.var)
 
     def log(self) -> TruncSeries:
@@ -438,11 +423,11 @@ class TruncSeries:
             raise CapabilityError(f"log needs exact integer division; ring {ring.name} lacks it")
         self._check_tail_free("log", ring.one)
         a = [self.coeff(k) for k in range(self.order + 1)]
-        zero, from_int = ring.zero, ring.from_int
+        zero = ring.zero
         # m_n = n l_n = n a_n - sum_{k=1..n-1} m_k a_{n-k}
         m = _accumulate(ring, self.order + 1, _terms(ring, a[1:], 1),
-                        lambda n, s: a[n] * from_int(n) - s if n else zero)
-        l = [ring.div_int(c, n) if n else c for n, c in enumerate(m)]
+                        lambda n, s: a[n] * n - s if n else zero)
+        l = [c * Fraction(1, n) if n else c for n, c in enumerate(m)]
         return TruncSeries(ring, 0, self.order, l, self.var)
 
     def div_exact(self, other: TruncSeries) -> TruncSeries:

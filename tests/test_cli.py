@@ -220,6 +220,12 @@ def test_verify_json_deterministic(capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+def test_verify_cartier_runs_at_bi_order_one(capsys):
+    code, out, err = run(capsys, "verify", "cartier", "--order", "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"][0]["note"] == "all bi-orders up to (1,1)"
+
+
 def test_verify_seed_changes_are_still_green(capsys):
     code, _, _ = run(capsys, "verify", "rota-baxter", "--order", "4", "--seed", "99")
     assert code == 0
@@ -240,7 +246,7 @@ def test_verify_refuses_prop2_above_its_bound(capsys, suite):
     ("2 - beta_1", "2 - binom(beta,1)"),
     ("1 - boundary(cinv^3)", "1 - b_2"),
     ("1 - boundary(cinv)", "0"),
-    # an int factor lifts through the series' own ring, here Z[beta_*]
+    # each coefficient takes an int factor through its own *, here in Z[beta_*]
     ("2*binomial_series()", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
     ("binomial_series()*2", "2 + 2*binom(beta,1) T + 2*binom(beta,2) T^2 + 2*binom(beta,3) T^3"),
     ("bernoulli(12)", "-691/2730"),
@@ -516,6 +522,16 @@ def test_report_q_integrality_rejects_negative_order(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: order must be non-negative"
+
+
+@pytest.mark.parametrize("name", ["corollary-sign", "expansion-sign"])
+def test_the_sign_reports_refuse_negative_orders_and_raise_low_ones_to_4(capsys, name):
+    for extra in ((), ("--json",)):
+        assert run(capsys, "report", name, "--order", "-5", *extra) == (
+            2, "", "error: order must be non-negative\n")
+    for order in ("0", "3"):
+        code, out, err = run(capsys, "report", name, "--order", order, "--json")
+        assert (code, err, json.loads(out)["order"]) == (0, "", 4)
 
 
 def test_report_corollary_sign_refuses_orders_above_its_bound(capsys):

@@ -135,6 +135,12 @@ def test_a_sum_of_products_spanning_more_than_the_bound_is_refused(monkeypatch):
     assert x * LaurentPoly("q", {0: 1, 1: 1}) == LaurentPoly("q", {-3: 1, -2: 1, 5: 2, 6: 2})
     with pytest.raises(DomainError, match="q\\^-3..q\\^7 spans more than 10 exponents"):
         x * LaurentPoly("q", {0: 1, 2: 1})
+    # a one-term factor shifts and scales, under the same bound and message
+    shift = LaurentPoly("q", {3: 2})
+    assert LaurentPoly("q", {-4: 1, 5: 1}) * shift == LaurentPoly("q", {-1: 2, 8: 2})
+    with pytest.raises(DomainError, match="^a product over q\\^-2..q\\^8 spans more than 10 "
+                                          "exponents$"):
+        LaurentPoly("q", {-5: 1, 5: 1}) * shift
     # the span counts the whole sum, not each product alone
     acc = LaurentPoly.accumulator("q")
     acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {-5: 1}))

@@ -155,11 +155,6 @@ def test_polynomials_over_other_generators_do_not_combine():
         MultiPoly.var(("x",), "x") + MultiPoly.var(("y",), "y")
 
 
-def test_div_int_by_zero():
-    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
-        MultiPoly.var(("x",), "x").div_int(0)
-
-
 def test_reprs():
     assert repr(MultiPoly(("x",), {(2,): 3})) == "MultiPoly(('x',), {(2,): Fraction(3, 1)})"
     assert repr(RationalFunction(LaurentPoly("beta", {-1: 1}))) == (

@@ -1,13 +1,14 @@
 """Ring laws, checked generically over every coefficient ring the engine uses.
 
 Each case gives a strategy for elements, the ring's zero and one, and its
-exact division by a nonzero integer: the two integer-basis types directly,
-and each `Ring` factory through its descriptor.  The laws are the commutative
-ring axioms, n - x == -(x - n) for an int n, and the round trip
-(x * n) / n == x.
+exact division by a nonzero integer n: over a rational ring, * Fraction(1, n),
+as exp and log divide; otherwise the elements' own exact division (ZZ's
+through its descriptor).  The laws are the commutative ring axioms,
+n - x == -(x - n) for an int n, and the round trip (x * n) / n == x.
 """
 
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +30,13 @@ def _basis_case(cls):
     return basis_coords.map(cls), cls.zero(), cls.one(), cls.div_int_exact
 
 
-def _ring_case(ring, elements):
-    return elements, ring.zero, ring.one, ring.div_int
+def _by_fraction(a, n):
+    return a * Fraction(1, n)
+
+
+def _ring_case(ring, elements, div_int=_by_fraction):
+    assert ring.rational == (div_int is _by_fraction)
+    return elements, ring.zero, ring.one, div_int
 
 
 def _laurent(coeffs):
@@ -43,12 +49,14 @@ _POLYS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), small_
 CASES = {
     "DividedPowerElem": _basis_case(DividedPowerElem),
     "NumericalPoly": _basis_case(NumericalPoly),
-    "ZZ": _ring_case(ZZ, st.integers(-50, 50)),
+    "ZZ": _ring_case(ZZ, st.integers(-50, 50), ZZ.div_exact),
     "QQ": _ring_case(QQ, small_fracs),
     "QQ[x,y]": _ring_case(poly_ring("x", "y"), _POLYS),
-    "ZZ[x^±1]": _ring_case(laurent_coeff_ring("x", integral=True), _laurent(small_ints)),
+    "ZZ[x^±1]": _ring_case(laurent_coeff_ring("x", integral=True), _laurent(small_ints),
+                           LaurentPoly.div_scalar_exact),
     "QQ[x^±1]": _ring_case(laurent_coeff_ring("x"), _laurent(small_fracs)),
-    "Z[beta_*]": _ring_case(numerical_ring(), basis_coords.map(NumericalPoly)),
+    "Z[beta_*]": _ring_case(numerical_ring(), basis_coords.map(NumericalPoly),
+                            NumericalPoly.div_int_exact),
 }
 
 LAWS = settings(max_examples=40, deadline=None)
@@ -114,6 +122,7 @@ def test_integer_scaling_round_trips_through_exact_division(case, data, n):
     div_int = CASES[case][3]
     (a,) = _elements(data, case, 1)
     assert div_int(a * n, n) == a
+    assert n * a == a * n
 
 
 @pytest.mark.parametrize("cls", [DividedPowerElem, NumericalPoly])

@@ -286,7 +286,7 @@ def sparse_series(draw, ring, min_zeros=0, lead=None):
     if lead is not None:
         head.append(draw(lead))
     body = draw(st.lists(st.one_of(st.just(0), values), min_size=0 if head else 1, max_size=8))
-    return TruncSeries.from_coeffs(ring, low, [ring.from_int(0) + c for c in head + body])
+    return TruncSeries.from_coeffs(ring, low, [ring.zero + c for c in head + body])
 
 
 def _nonzero(ring):
@@ -531,7 +531,7 @@ def order_n_series(draw, name, order, lead=None):
     ring, values, _ = _TRUNC_RINGS[name]
     coeffs = [ring.zero] * (order + 1)
     for k in draw(st.lists(st.integers(1, order), max_size=4)):
-        coeffs[k] = ring.from_int(0) + draw(values)
+        coeffs[k] = ring.zero + draw(values)
     if lead is not None:
         coeffs[0] = draw(lead)
     return TruncSeries(ring, 0, order, coeffs)
@@ -668,7 +668,7 @@ def test_agreement_past_a_reliable_order_raises_as_a_scan_would():
 
 def test_zz_division_and_inverse_are_partial():
     with pytest.raises(InexactDivisionError, match="^3 is not divisible by 2$"):
-        ZZ.div_int(3, 2)
+        ZZ.div_exact(3, 2)
     with pytest.raises(NotInvertibleError, match="^2 is not a unit in Z$"):
         TruncSeries.from_coeffs(ZZ, 0, [2, 1], order=3).inverse()
 

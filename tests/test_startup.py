@@ -54,7 +54,7 @@ def _records():
         (VerificationReport("s", 4, (Check("x"),)), "suite"),
         (Token("NUMBER", "1", 0), "kind"),
         (Bin("+", Num(1), Sym("c")), "op"),
-        (Ring("R", 0, 1, QQ.div_int, QQ.from_int), "name"),
+        (Ring("R", 0, 1, inv=QQ.inv), "name"),
         (GradedTSeries(Grading.TATE_H, 0, (1, 1)), "tag"),
     ]
 
@@ -73,8 +73,7 @@ def test_records_of_one_type_compare_and_hash_by_value():
     assert Check("x") != Check("y")
     assert Bin("+", Num(1), Num(2)) != Bin("-", Num(1), Num(2))
     assert len({Token("OP", "+", 3), Token("OP", "+", 3), Token("OP", "+", 4)}) == 2
-    assert Ring("R", 0, 1, QQ.div_int, QQ.from_int) != Ring("R", 0, 1, QQ.div_int, QQ.from_int,
-                                                             rational=False)
+    assert Ring("R", 0, 1, inv=QQ.inv) != Ring("R", 0, 1, inv=QQ.inv, rational=False)
 
 
 def test_check_repr_names_every_field():

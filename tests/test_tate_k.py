@@ -309,6 +309,30 @@ def test_cartier_rejects_bad_orders():
         tate_k.cartier_check(0, 5)
 
 
+def test_cartier_runs_from_bi_order_one():
+    assert tate_k.cartier_check(1, 1).passed
+    for orders in ((0, 1), (1, 0)):
+        with pytest.raises(DomainError, match="^bi-orders must be at least 1$"):
+            tate_k.cartier_check(*orders)
+
+
+@pytest.mark.parametrize("order0,order1", [(3, 5), (6, 2)])
+def test_cartier_compares_the_last_row_and_column(monkeypatch, order0, order1):
+    # one corrupted left-side coordinate in the last T0 row or T1 column
+    # must fail the check, which names it
+    lhs = tate_k._cartier_lhs
+    corners = [(order0, j) for j in range(order1 + 1)] + [(i, order1) for i in range(order0 + 1)]
+    for i, j in corners:
+        def corrupted(o0, o1):
+            out = lhs(o0, o1)
+            out[(i, j)] = out.get((i, j), NumericalPoly.zero()) + NumericalPoly.one()
+            return out
+        monkeypatch.setattr(tate_k, "_cartier_lhs", corrupted)
+        report = tate_k.cartier_check(order0, order1)
+        assert not report.passed
+        assert report.checks[0].first_defect.startswith(f"T0^{i} T1^{j}: ")
+
+
 # -- the q-series ------------------------------------------------------------------------
 
 
