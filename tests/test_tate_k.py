@@ -321,8 +321,8 @@ def test_cartier_compares_the_last_row_and_column(monkeypatch, order0, order1):
     # one corrupted left-side coordinate in the last T0 row or T1 column
     # must fail the check, which names it
     lhs = tate_k._cartier_lhs
-    corners = [(order0, j) for j in range(order1 + 1)] + [(i, order1) for i in range(order0 + 1)]
-    for i, j in corners:
+    last = [(order0, j) for j in range(order1 + 1)] + [(i, order1) for i in range(order0 + 1)]
+    for i, j in last:
         def corrupted(o0, o1):
             out = lhs(o0, o1)
             out[(i, j)] = out.get((i, j), NumericalPoly.zero()) + NumericalPoly.one()
