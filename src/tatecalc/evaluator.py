@@ -85,8 +85,11 @@ def evaluate(expr: Expr, mode: str, order: int = 8, symbols: Collection[str] = (
     `symbols` are the expression's symbols (`parser.names_used`); series mode
     builds its coefficient ring from them, the Tate contexts do not read them.
     """
-    if mode != "tate_k" and order > MAX_ORDER:
-        raise DomainError(f"order {order} is above the series bound {MAX_ORDER}")
+    if mode != "tate_k":
+        if order > MAX_ORDER:
+            raise DomainError(f"order {order} is above the series bound {MAX_ORDER}")
+        if order < 0:
+            raise DomainError("order must be non-negative")
     if mode == "tate_h":
         return _EvalH(order).eval(expr)
     if mode == "tate_k":

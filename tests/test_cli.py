@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import tatecalc
-from tatecalc import cli, evaluator
-from tatecalc.basis import DividedPowerElem
+from tatecalc import basis, cli, evaluator, expansions, laurent, tate_k, verify
+from tatecalc.basis import DividedPowerElem, NumericalPoly
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
 from tatecalc.parser import Num
@@ -594,6 +594,17 @@ def test_eval_refuses_an_order_above_the_series_bound(capsys):
     assert run(capsys, "expand", "1 - q", "--at", "0", "--order", "513")[:2] == (0, "1 - q\n")
 
 
+@pytest.mark.parametrize("expr", ["exp(T)", "2*binomial_series()", "geom(cinv)", "boundary(c)"])
+def test_eval_refuses_a_negative_order(capsys, expr):
+    # refused as expand and the reports refuse it, not by a series' window
+    # check ("order -1 below lowest exponent 1"), nor run at all as boundary(c) was
+    for extra in ((), ("--json",)):
+        assert run(capsys, "eval", expr, "--order", "-1", *extra) == (
+            2, "", "error: order must be non-negative\n")
+    # tate_k values carry no order, as for the upper bound
+    assert run(capsys, "eval", "(1-q)^-1 * (1-q)", "--order", "-1") == (0, "1\n", "")
+
+
 def test_eval_runs_at_the_series_bound(capsys, monkeypatch):
     monkeypatch.setattr(evaluator, "MAX_ORDER", 5)
     assert run(capsys, "eval", "geom(cinv)", "--order", "5")[0] == 0
@@ -630,6 +641,58 @@ def test_verify_all_small_order(capsys):
         "prop1", "corollary", "prop2", "cartier", "rota-baxter",
         "exactness-h", "exactness-k", "expansions", "adams", "renorm",
     }
+
+
+# -- every bound of the README's table ------------------------------------------
+
+_BETA_20_SQUARED = NumericalPoly.basis(20)._work(NumericalPoly.basis(20))
+
+# bound -> (where it is read, the value it is lowered to or None to keep it,
+# an argv at the bound, an argv just above it).  A bound is lowered where
+# input at the real one takes tenths of a second or more.
+BOUNDS = {
+    "verify.PROP2_MAX_ORDER": (
+        verify, 8, ["verify", "prop2", "--order", "8"], ["verify", "prop2", "--order", "9"]),
+    # cli reads the two report bounds through its own import of them
+    "verify.Q_INTEGRALITY_MAX_ORDER": (
+        cli, 4, ["report", "q-integrality", "--order", "4"],
+        ["report", "q-integrality", "--order", "5"]),
+    "verify.COROLLARY_SIGN_MAX_ORDER": (
+        cli, 8, ["report", "corollary-sign", "--order", "8"],
+        ["report", "corollary-sign", "--order", "9"]),
+    "evaluator.BERNOULLI_MAX_INDEX": (
+        evaluator, 20, ["eval", "bernoulli(20)"], ["eval", "bernoulli(21)"]),
+    "evaluator.MAX_ORDER": (
+        evaluator, None, ["eval", "1+T", "--order", "512"], ["eval", "1+T", "--order", "513"]),
+    "basis.BASIS_MAX_WORK": (
+        basis, _BETA_20_SQUARED, ["eval", "beta_20*beta_20"], ["eval", "beta_20*beta_21"]),
+    # a product over q^0..q^63 spans 64 exponents
+    "laurent.MAX_SPAN": (
+        laurent, 64, ["eval", "(1+q^62)*(1+q)"], ["eval", "(1+q^63)*(1+q)"]),
+    "expansions.MAX_DEPTH": (
+        expansions, None, ["expand", "q^-4096", "--at", "0", "--order", "0"],
+        ["expand", "q^-4097", "--at", "0", "--order", "0"]),
+    "expansions.MAX_ORDER": (
+        expansions, 16, ["expand", "1 - q", "--at", "0", "--order", "16"],
+        ["expand", "1 - q", "--at", "0", "--order", "17"]),
+    # the quotient of q^64 - 1 by 1-q spans q^0..q^63, split over q^0..q^64
+    "tate_k.MAX_SPLIT_SPAN": (
+        tate_k, 64, ["eval", "(q^64 - 1)*(1-q)^-1"], ["eval", "(q^65 - 1)*(1-q)^-1"]),
+}
+
+
+@pytest.mark.parametrize("side", ["at", "above"])
+@pytest.mark.parametrize("bound", list(BOUNDS))
+def test_each_bound_runs_at_itself_and_refuses_just_above(capsys, monkeypatch, bound, side):
+    module, lowered, at, above = BOUNDS[bound]
+    if lowered is not None:
+        monkeypatch.setattr(module, bound.split(".")[1], lowered)
+    if side == "at":
+        code, _, err = run(capsys, *at)
+        assert (code, err) == (0, "")
+    else:
+        code, out, err = run(capsys, *above)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- one parser per process ----------------------------------------------------
@@ -681,3 +744,18 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert build_parser() is not build_parser()  # the public function still builds anew
+
+
+def test_a_session_of_well_formed_argv_builds_no_parser(capsys, monkeypatch):
+    # every argv of SESSION but its usage error is read from the grammar table;
+    # `eval "exp("` is well formed, and its parse error is the expression's
+    session = [argv for argv in SESSION if argv != ["verify", "nosuch"]]
+    assert len(session) == len(SESSION) - 1
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("a parser was built"))
+    try:
+        for argv in session:
+            main(list(argv))
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
