@@ -6,7 +6,9 @@
 # `main` runs here under a normal shutdown and must write no stderr.
 # `--order=N` and the prefix `--ord N` are read by argparse, the canonical
 # `--order N` by the CLI's own reader of its grammar table: each command
-# must print the same bytes in all three spellings.
+# must print the same bytes in all three spellings.  Output must not depend
+# on the hash seed either (a set or a str-keyed dict iterated into the
+# output would): three commands print the same bytes under two seeds.
 set -eo pipefail
 export PYTHONPATH=src
 out=$(mktemp -d)
@@ -27,3 +29,11 @@ for args in "verify all --order 24" "report q-integrality --order 16"; do
   python -m tatecalc.cli ${args/--order /--ord } > "$out/prefix.txt"
   cmp "$out/prefix.txt" "$out/canonical.txt"
 done
+same_across_hash_seeds() {
+  PYTHONHASHSEED=0 python -m tatecalc.cli "$@" > "$out/seed0"
+  PYTHONHASHSEED=1 python -m tatecalc.cli "$@" > "$out/seed1"
+  cmp "$out/seed0" "$out/seed1"
+}
+same_across_hash_seeds verify all --order 24 --json
+same_across_hash_seeds report q-integrality --order 16 --json
+same_across_hash_seeds eval "exp(b*T)*geom(cinv)" --order 6 --json

@@ -80,7 +80,7 @@ def expand(x: TateKElem, puncture: Puncture, order: int) -> TruncSeries:
             f"below the bound {puncture.variable}^-{MAX_DEPTH}"
         )
     coeffs = [0] * (order - low + 1)
-    for e, c in x.num.coeffs.items():
+    for e, c in x.num.nums.items():
         # c q^e (1-q)^-k = c t^a (1-t)^b, with c negated at infinity for odd e
         if puncture is Puncture.ZERO:
             a, b = e, -k

@@ -8,10 +8,10 @@ have no common factor.  So integrality is `den == 1`, a structural property
 of the value rather than a mode flag, two polynomials are equal exactly when
 their forms are, and each ring operation is written once, on that form.
 
-An integral polynomial is a plain `LaurentPoly` whose `coeffs` is `nums`
-itself, a dict of ints.  A rational one is a `_HeldPoly`, whose `coeffs` (a
-dict of Fractions, and of ints where a coefficient is integral) is built only
-when something reads it, so a chain of ring operations builds no Fraction.
+`coeffs` (exponent -> int, or a Fraction where a coefficient is not
+integral) is a view of that form, built on each read: `nums` itself when
+den == 1.  Only rendering, JSON and the tests read it; the ring operations
+and the engine read `nums` and `den`, so a chain of them builds no Fraction.
 
 Products are sums of products: `accumulator` collects any number of them
 (`DenseAccumulator`) and, when the sum is read, adds them up as one dense
@@ -39,12 +39,11 @@ Scalar = int | Fraction
 class LaurentPoly:
     """sum nums[e]/den var^e, in the reduced form the module docstring sets.
 
-    The constructor takes int or Fraction coefficients and checks each one;
-    a rational polynomial comes back as a `_HeldPoly` that keeps the
-    coefficients it was given as its `coeffs`.  Ring operations build their
-    results with `_from_numerators`, which skips those checks."""
+    The constructor takes int or Fraction coefficients, checks each one and
+    keeps only their numerators over one denominator.  Ring operations build
+    their results with `_from_numerators`, which skips those checks."""
 
-    __slots__ = ("var", "nums", "den", "coeffs", "_int_cache")
+    __slots__ = ("var", "nums", "den", "_int_cache")
 
     def __new__(cls, var: str, coeffs: Mapping[int, Scalar] | None = None) -> LaurentPoly:
         given: dict[int, Scalar] = {}
@@ -62,27 +61,19 @@ class LaurentPoly:
             return LaurentPoly._from_numerators(var, given)
         # an int has numerator and denominator too; den is the lcm of the
         # reduced denominators, so the form is reduced already
-        out = LaurentPoly._from_numerators(
+        return LaurentPoly._from_numerators(
             var, {e: v.numerator * (den // v.denominator) for e, v in given.items()}, den)
-        out._coeffs = given
-        return out
 
     @staticmethod
     def _from_numerators(var: str, nums: dict[int, int], den: int = 1) -> LaurentPoly:
         """sum nums[e]/den var^e for `nums` with no zero numerator and den > 0,
-        divided through by the gcd of den and every numerator when den > 1;
-        a `_HeldPoly` when a denominator remains."""
+        divided through by the gcd of den and every numerator when den > 1."""
         if den != 1:
             g = gcd(den, *nums.values())
             if g != 1:
                 den //= g
                 nums = {e: n // g for e, n in nums.items()}
-        if den == 1:
-            out = object.__new__(LaurentPoly)
-            out.coeffs = nums
-        else:
-            out = object.__new__(_HeldPoly)
-            out._coeffs = None
+        out = object.__new__(LaurentPoly)
         out.var, out.nums, out.den, out._int_cache = var, nums, den, None
         return out
 
@@ -100,8 +91,20 @@ class LaurentPoly:
     def is_integral(self) -> bool:
         return self.den == 1
 
+    @property
+    def coeffs(self) -> dict[int, Scalar]:
+        """exponent -> coefficient: `nums` itself when integral, otherwise a
+        new dict with an int where a coefficient is integral."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return {e: Fraction(n, den) if n % den else n // den for e, n in self.nums.items()}
+
     def coeff(self, exponent: int) -> Scalar:
-        return self.coeffs.get(exponent, 0)
+        n, den = self.nums.get(exponent, 0), self.den
+        if den == 1:
+            return n
+        return Fraction(n, den) if n % den else n // den
 
     def lo(self) -> int:
         """Lowest exponent; 0 for the zero polynomial."""
@@ -309,23 +312,6 @@ MAX_SPAN = 1 << 22
 
 def _span_error(var: str, lo: int, hi: int) -> DomainError:
     return DomainError(f"a product over {var}^{lo}..{var}^{hi} spans more than {MAX_SPAN} exponents")
-
-
-class _HeldPoly(LaurentPoly):
-    """A rational Laurent polynomial (den > 1).  Its `coeffs` is a view of
-    `nums` over `den`, built when first read (rendering, JSON, `coeff`); the
-    ring operations never read it."""
-
-    __slots__ = ("_coeffs",)
-
-    @property
-    def coeffs(self) -> dict[int, Scalar]:
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self.den
-            coeffs = self._coeffs = {
-                e: Fraction(n, den) if n % den else n // den for e, n in self.nums.items()}
-        return coeffs
 
 
 class DenseAccumulator:

@@ -278,7 +278,7 @@ class RationalFunction:
         if self.den == 1:
             return str(self.num)
         num, den = str(self.num), str(self.den)
-        if len(self.num.coeffs) > 1:
+        if len(self.num.nums) > 1:
             num = f"({num})"
         if "*" in den or "^" in den:
             den = f"({den})"

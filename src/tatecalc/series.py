@@ -29,6 +29,7 @@ from .errors import (
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
+    VariableMismatchError,
 )
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
@@ -275,12 +276,15 @@ class TruncSeries:
             raise RingMismatchError(
                 f"cannot combine series over {self.ring.name} and {other.ring.name}"
             )
+        if self.var != other.var:
+            raise VariableMismatchError(f"cannot combine series in {self.var} and {other.var}")
 
     def __eq__(self, other: object) -> bool:
-        """Equality of reliable data: same ring, same order, same coefficients."""
+        """Equality of reliable data: same ring, variable and order, same
+        coefficients."""
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if self.ring.name != other.ring.name or self.order != other.order:
+        if self.ring.name != other.ring.name or self.var != other.var or self.order != other.order:
             return False
         lo = min(self.low, other.low)
         return all(self.coeff(k) == other.coeff(k) for k in range(lo, self.order + 1))

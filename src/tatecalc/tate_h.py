@@ -33,14 +33,14 @@ def _check(x: LaurentPoly) -> None:
 def pi_minus(x: LaurentPoly) -> LaurentPoly:
     """Projection onto the split image c^-1 Z[c^-1] (strictly negative exponents)."""
     _check(x)
-    return LaurentPoly._from_numerators("c", {e: v for e, v in x.coeffs.items() if e < 0})
+    return LaurentPoly._from_numerators("c", {e: v for e, v in x.nums.items() if e < 0})
 
 
 def boundary(x: LaurentPoly) -> DividedPowerElem:
     """The boundary c^-k -> b_{k-1} (k >= 1); Z[c] is the kernel."""
     _check(x)
     out: dict[int, int] = {}
-    for e, v in x.coeffs.items():
+    for e, v in x.nums.items():
         if e < 0:
             k = -e - 1
             out[k] = out.get(k, 0) + v
@@ -62,7 +62,7 @@ def kronecker_pair(x: LaurentPoly, y: DividedPowerElem) -> int:
     if x.lo() < 0:
         raise DomainError("the Kronecker pairing is defined on Z[c] (no negative exponents)")
     total = 0
-    for e, v in x.coeffs.items():
+    for e, v in x.nums.items():
         total += v * y.coord(e)
     return total
 

@@ -61,7 +61,7 @@ def _dense_at_one(num: LaurentPoly) -> tuple[int, list[int]]:
         raise DomainError(f"the quotient by 1-q over q^{lo}..q^{hi - 1} spans more than "
                           f"{MAX_SPLIT_SPAN} exponents")
     dense = [0] * (hi - lo + 1)
-    for e, v in num.coeffs.items():
+    for e, v in num.nums.items():
         dense[e - lo] = v
     return lo, dense
 
@@ -102,9 +102,9 @@ def _one_minus_q_pow(d: int) -> LaurentPoly:
 
 def _reduce(num: LaurentPoly, denom_pow: int) -> tuple[LaurentPoly, int]:
     """(num, denom_pow) with each factor 1-q that divides num cancelled."""
-    while denom_pow > 0 and num.coeffs and sum(num.coeffs.values()) == 0:
+    while denom_pow > 0 and num.nums and sum(num.nums.values()) == 0:
         num, denom_pow = _split_at_one(num)[1], denom_pow - 1
-    return num, denom_pow if num.coeffs else 0
+    return num, denom_pow if num.nums else 0
 
 
 class TateKElem:
@@ -199,11 +199,11 @@ class TateKElem:
         if self.is_zero():
             raise NotInvertibleError("zero is not invertible")
         num, extra = self.num, 0
-        while sum(num.coeffs.values()) == 0:
+        while sum(num.nums.values()) == 0:
             num, extra = _split_at_one(num)[1], extra + 1
-        if len(num.coeffs) != 1:
+        if len(num.nums) != 1:
             raise NotInvertibleError(f"{self} is not a unit in Z[q^±1, (1-q)^-1]")
-        (e, v), = num.coeffs.items()
+        (e, v), = num.nums.items()
         if v not in (1, -1):
             raise NotInvertibleError(f"{self} is not a unit in Z[q^±1, (1-q)^-1]")
         # self = v q^e (1-q)^(extra - denom_pow); invert each factor
@@ -224,7 +224,7 @@ class TateKElem:
         if self.denom_pow == 0:
             return str(self.num)
         num = str(self.num)
-        if len(self.num.coeffs) > 1:
+        if len(self.num.nums) > 1:
             num = f"({num})"
         pole = f"(1-q)^-{self.denom_pow}" if self.denom_pow > 1 else "(1-q)^-1"
         return pole if num == "1" else f"{num} * {pole}"
@@ -251,7 +251,7 @@ class PartialFractionForm(NamedTuple):
     def __str__(self) -> str:
         """The Laurent terms, then each nonzero a*(1-q)^-j."""
         q = self.poly_part.var
-        terms = [(var_power(q, e), v) for e, v in sorted(self.poly_part.coeffs.items())]
+        terms = [(var_power(q, e), v) for e, v in sorted(self.poly_part.nums.items())]
         terms += [(f"(1-q)^-{j}", a) for j, a in enumerate(self.pole_coeffs, start=1) if a]
         return render_terms(terms, str)  # the keys are the monomials
 
@@ -526,9 +526,7 @@ class IntegralityReport(NamedTuple):
 def integrality_report(order: int) -> IntegralityReport:
     q = q_series(order).coeffs
     entries = []
-    # beta*q_k is q_k with its exponents raised by one; built from q_k's own
-    # Fraction view, which it keeps, so rendering it builds no Fraction
-    beta_q = [LaurentPoly("beta", {e + 1: v for e, v in c.coeffs.items()}) for c in q]
+    beta_q = [c.shifted(1) for c in q]
     for label, coeffs in (("q", q), ("beta*q", beta_q)):
         for k, c in enumerate(coeffs):
             value = str(RationalFunction(c))

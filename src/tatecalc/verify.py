@@ -152,7 +152,7 @@ def _suite_exactness_h(order: int, rng: random.Random, defect: int | None) -> Se
     b = DividedPowerElem.basis
     kernel = _first_defect(
         f"element #{i}: {x}" for i, x in _draws(200, partial(rand_laurent, rng, "c", (-10, 10)))
-        if tate_h.boundary(x).is_zero() == any(e < 0 for e in x.coeffs)
+        if tate_h.boundary(x).is_zero() == any(e < 0 for e in x.nums)
     )
     included = _first_defect(
         f"element #{i}: {x}" for i, x in _draws(100, partial(rand_laurent, rng, "c", (0, 10)))

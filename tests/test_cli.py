@@ -594,6 +594,16 @@ def test_eval_refuses_an_order_above_the_series_bound(capsys):
     assert run(capsys, "expand", "1 - q", "--at", "0", "--order", "513")[:2] == (0, "1 - q\n")
 
 
+def test_eval_bounds_a_series_order_by_its_number_of_generators(capsys):
+    # in all eight generators order 16 took 12 s and 338 MB; the bound is 12
+    expr = "exp(b*T+beta*T+c*T+cinv*T+q*T+qinv*T+u*T+s*T)"
+    for extra in ((), ("--json",)):
+        assert run(capsys, "eval", expr, "--order", "24", *extra) == (
+            2, "", "error: order 24 is above the series bound 12 for 8 generators\n")
+    assert run(capsys, "eval", "exp(b*T+c*T+q*T)", "--order", "91") == (
+        2, "", "error: order 91 is above the series bound 90 for 3 generators\n")
+
+
 @pytest.mark.parametrize("expr", ["exp(T)", "2*binomial_series()", "geom(cinv)", "boundary(c)"])
 def test_eval_refuses_a_negative_order(capsys, expr):
     # refused as expand and the reports refuse it, not by a series' window
@@ -649,7 +659,8 @@ _BETA_20_SQUARED = NumericalPoly.basis(20)._work(NumericalPoly.basis(20))
 
 # bound -> (where it is read, the value it is lowered to or None to keep it,
 # an argv at the bound, an argv just above it).  A bound is lowered where
-# input at the real one takes tenths of a second or more.
+# input at the real one takes tenths of a second or more.  A key is the bound
+# the case lowers, optionally followed by words naming the case.
 BOUNDS = {
     "verify.PROP2_MAX_ORDER": (
         verify, 8, ["verify", "prop2", "--order", "8"], ["verify", "prop2", "--order", "9"]),
@@ -664,6 +675,10 @@ BOUNDS = {
         evaluator, 20, ["eval", "bernoulli(20)"], ["eval", "bernoulli(21)"]),
     "evaluator.MAX_ORDER": (
         evaluator, None, ["eval", "1+T", "--order", "512"], ["eval", "1+T", "--order", "513"]),
+    # with MAX_ORDER 8, comb(order + 3, 3) <= comb(10, 2) = 45 up to order 4
+    "evaluator.MAX_ORDER in three generators": (
+        evaluator, 8, ["eval", "exp(b*T+c*T+q*T)", "--order", "4"],
+        ["eval", "exp(b*T+c*T+q*T)", "--order", "5"]),
     "basis.BASIS_MAX_WORK": (
         basis, _BETA_20_SQUARED, ["eval", "beta_20*beta_20"], ["eval", "beta_20*beta_21"]),
     # a product over q^0..q^63 spans 64 exponents
@@ -686,7 +701,7 @@ BOUNDS = {
 def test_each_bound_runs_at_itself_and_refuses_just_above(capsys, monkeypatch, bound, side):
     module, lowered, at, above = BOUNDS[bound]
     if lowered is not None:
-        monkeypatch.setattr(module, bound.split(".")[1], lowered)
+        monkeypatch.setattr(module, bound.split(".")[1].split()[0], lowered)
     if side == "at":
         code, _, err = run(capsys, *at)
         assert (code, err) == (0, "")

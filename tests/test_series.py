@@ -24,6 +24,7 @@ from tatecalc.errors import (
     NotInvertibleError,
     PrecisionError,
     RingMismatchError,
+    VariableMismatchError,
 )
 from tatecalc import series
 from tatecalc.laurent import LaurentPoly
@@ -39,7 +40,8 @@ from tatecalc.series import (
     monomial_coords,
     poly_ring,
 )
-from tatecalc.tate_k import binomial_poly_series
+from tatecalc.expansions import Puncture, expand
+from tatecalc.tate_k import TateKElem, binomial_poly_series
 
 
 def qq(low, coeffs, order=None):
@@ -77,6 +79,18 @@ def test_trivial_products():
 def test_ring_mismatch_is_typed():
     with pytest.raises(RingMismatchError):
         qq(0, [1]) + TruncSeries.one(poly_ring("x"), 0)
+
+
+def test_series_in_different_variables_do_not_combine():
+    # q expanded at 0 is a series in q, at infinity one in s, both over ZZ;
+    # combined, the s-series' coordinates would be read as q's
+    q = TateKElem(LaurentPoly("q", {1: 1}))
+    at_zero, at_inf = expand(q, Puncture.ZERO, 4), expand(q, Puncture.INFINITY, 4)
+    for op in (operator.add, operator.mul, TruncSeries.agrees_with, TruncSeries.div_exact):
+        with pytest.raises(VariableMismatchError, match="^cannot combine series in q and s$"):
+            op(at_zero, at_inf)
+    same = (ZZ, at_zero.low, at_zero.order, at_zero.coeffs)
+    assert at_zero == TruncSeries(*same, "q") and at_zero != TruncSeries(*same, "u")
 
 
 def test_reliable_order_propagation():
