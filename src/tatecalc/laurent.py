@@ -10,17 +10,21 @@ their forms are, and each ring operation is written once, on that form.
 
 `coeffs` (exponent -> int, or a Fraction where a coefficient is not
 integral) is a view of that form, built on each read: `nums` itself when
-den == 1.  Only rendering, JSON and the tests read it; the ring operations
-and the engine read `nums` and `den`, so a chain of them builds no Fraction.
+den == 1.  Only `__repr__` and the tests read it; the ring operations, the
+engine, `__str__` and `to_json` read `nums` and `den`, so a chain of them
+builds no Fraction.
 
-Products are sums of products: `accumulator` collects any number of them
-(`DenseAccumulator`) and, when the sum is read, adds them up as one dense
-list of integer numerators over one common denominator, and `__mul__` is the
-one-product case, or a shift and a scale when one factor has a single term.
-The series kernel uses the same accumulator per output coefficient, so every
+Products are sums of products: a `DenseAccumulator` collects any number of
+them and, when the sum is read, adds them up as one dense list of integer
+numerators over one common denominator, and `__mul__` is the one-product
+case, or a shift and a scale when one factor has a single term.  The series
+kernel uses the same accumulator per output coefficient, so every
 one-variable series the engine builds (over Q[b^±1], Q[x^±1], Q[beta^±1],
 Z[c^±1], ...) runs on it.  `binomials` gives the falling-factorial binomials
 binom(x, k) of a Laurent polynomial x by their running recurrence.
+
+`render_terms` is the one rule for printing a sum of terms, over coefficients
+of any type, and `var_power` writes the powers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .arith import power
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
@@ -167,11 +171,6 @@ class LaurentPoly:
             self._int_cache = (sorted(self.nums.items()), self.den)
         return self._int_cache
 
-    @staticmethod
-    def accumulator(var: str) -> DenseAccumulator:
-        """An empty sum of products of Laurent polynomials in `var`."""
-        return DenseAccumulator(var)
-
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, (int, Fraction)):
@@ -184,7 +183,7 @@ class LaurentPoly:
         self._require_same(other)
         if len(self.nums) == 1 or len(other.nums) == 1:
             return self._monomial_mul(other)
-        acc = LaurentPoly.accumulator(self.var)
+        acc = DenseAccumulator(self.var)
         acc.add(self, other)
         return acc.value()
 
@@ -233,7 +232,7 @@ class LaurentPoly:
         binom(x, k) = binom(x, k-1) (x - k + 1) / k."""
         out = [LaurentPoly.one(self.var)]
         for k in range(1, n + 1):
-            acc = LaurentPoly.accumulator(self.var)
+            acc = DenseAccumulator(self.var)
             acc.add(out[-1], self - (k - 1))
             out.append(acc.value(k))
         return out
@@ -283,9 +282,14 @@ class LaurentPoly:
             raise InexactDivisionError(f"{other} does not divide {self} over the integers")
         return quo
 
+    def _lowest_terms(self) -> list[tuple[int, int, int]]:
+        """(exponent, numerator, denominator) in lowest terms, by exponent."""
+        den = self.den
+        return [(e, n // (g := gcd(n, den)), den // g) for e, n in sorted(self.nums.items())]
+
     def __str__(self) -> str:
         return render_terms(
-            [(e, v) for e, v in sorted(self.coeffs.items())],
+            [(e, n if d == 1 else f"{n}/{d}") for e, n, d in self._lowest_terms()],
             lambda e: var_power(self.var, e),
         )
 
@@ -293,11 +297,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.var!r}, {self.coeffs!r})"
 
     def to_json(self) -> list[list[str | int]]:
-        out = []
-        for e, v in sorted(self.coeffs.items()):
-            f = Fraction(v)
-            out.append([e, str(f.numerator), str(f.denominator)])
-        return out
+        return [[e, str(n), str(d)] for e, n, d in self._lowest_terms()]
 
 
 # The dense list of a sum of products holds one slot per exponent from its
@@ -376,23 +376,34 @@ def var_power(var: str, e: int) -> str:
     return f"{var}^{e}"
 
 
-def render_terms(terms: list[tuple[int, Scalar]], basis: Callable[[int], str]) -> str:
-    """Render (key, scalar) pairs as `a + 2*x^2 - x^3`; scalars use p/q form."""
+def render_terms(terms: list[tuple[Any, object]], basis: Callable[[Any], str]) -> str:
+    """Render (key, coefficient) pairs as `a + 2*x^2 - x^3 + (1 + b) x^4`.
+
+    A coefficient is anything printable.  With m = basis(key), its text t
+    gives t where m is empty, m or -m for t = 1 or -1, t*m for any other t
+    of digits, `/` and `-` only (an int or a Fraction), and t m otherwise,
+    with t in brackets when it is a sum.  The sign t leads with joins it."""
     if not terms:
         return "0"
     parts: list[str] = []
     for key, v in terms:
-        mono = basis(key)
-        sign = "-" if v < 0 else "+"
-        mag = -v if v < 0 else v
+        mono, text = basis(key), str(v)
         if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
+            piece = text
+        elif text == "1":
+            piece = mono
+        elif text == "-1":
+            piece = f"-{mono}"
+        elif not text.strip("0123456789/-"):
+            piece = f"{text}*{mono}"
+        elif " + " in text or " - " in text:
+            piece = f"({text}) {mono}"
         else:
-            body = f"{mag}*{mono}"
+            piece = f"{text} {mono}"
         if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+            parts.append(piece)
+        elif piece[0] == "-":
+            parts.append(f" - {piece[1:]}")
         else:
-            parts.append(f" {sign} {body}")
+            parts.append(f" + {piece}")
     return "".join(parts)

@@ -4,7 +4,7 @@ MultiPoly is a sparse exponent-vector -> Fraction map over a fixed ordered
 generator tuple.  Its one caller is the evaluator's series mode, over
 whichever generators an expression names.  Every series the engine builds
 itself runs over `LaurentPoly` instead, renorm's Q[x,y] included (by
-Kronecker substitution).  Products are fraction-free: `MultiPoly.accumulator`
+Kronecker substitution).  Products are fraction-free: a `SparseAccumulator`
 collects any number of products x*y and, when the sum is read, adds them up
 as integer numerators keyed by exponent vector over one common denominator
 and builds its Fractions once.  The series kernel keeps one accumulator per
@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError
 from .arith import power
-from .laurent import LaurentPoly, render_terms
+from .laurent import LaurentPoly, render_terms, var_power
 
 Expo = tuple[int, ...]
 
@@ -39,9 +39,7 @@ def _gen_power(gen: str, e: int) -> str:
     base = _INVERSE_DISPLAY.get(gen)
     if base is not None:
         return f"{base}^{-e}"
-    if e == 1:
-        return gen
-    return f"{gen}^{e}"
+    return var_power(gen, e)
 
 
 class MultiPoly:
@@ -138,11 +136,6 @@ class MultiPoly:
             self._int_cache = (pairs, den)
         return self._int_cache
 
-    @staticmethod
-    def accumulator(gens: Sequence[str]) -> _SparseAccumulator:
-        """An empty sum of products of polynomials over `gens`."""
-        return _SparseAccumulator(tuple(gens))
-
     def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -151,7 +144,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
-        acc = MultiPoly.accumulator(self.gens)
+        acc = SparseAccumulator(self.gens)
         acc.add(self, other)
         return acc.value()
 
@@ -212,7 +205,7 @@ class MultiPoly:
         return out
 
 
-class _SparseAccumulator:
+class SparseAccumulator:
     """A sum of products of polynomials, fraction-free.  `add` records each
     product as its factors' cached `_int_form`s; `value` takes the common
     denominator once, sums the integer numerators keyed by exponent vector

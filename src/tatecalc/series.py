@@ -31,8 +31,8 @@ from .errors import (
     RingMismatchError,
     VariableMismatchError,
 )
-from .laurent import LaurentPoly
-from .multipoly import MultiPoly
+from .laurent import DenseAccumulator, LaurentPoly, render_terms, var_power
+from .multipoly import MultiPoly, SparseAccumulator
 
 
 class Ring(NamedTuple):
@@ -59,9 +59,6 @@ class Ring(NamedTuple):
 
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
     def json(self, a):
         if hasattr(a, "to_json"):
@@ -109,7 +106,7 @@ def poly_ring(*gens: str) -> Ring:
         one=MultiPoly.const(gens, 1),
         inv=_poly_inv,
         div_exact=lambda a, b: a.div_exact(b),
-        accumulator=lambda: MultiPoly.accumulator(gens),
+        accumulator=lambda: SparseAccumulator(gens),
     )
 
 
@@ -128,7 +125,7 @@ def laurent_coeff_ring(var: str, integral: bool = False) -> Ring:
         rational=not integral,
         inv=lambda a: a.inverse(),
         div_exact=lambda a, b: a.div_exact(b, over_integers=integral),
-        accumulator=lambda: LaurentPoly.accumulator(var),
+        accumulator=lambda: DenseAccumulator(var),
     )
 
 
@@ -471,35 +468,9 @@ class TruncSeries:
     # -- rendering ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        ring = self.ring
-        parts: list[str] = []
-        for k in range(self.low, self.order + 1):
-            c = self.coeff(k)
-            if ring.is_zero(c):
-                continue
-            text = str(c)
-            scalar_like = all(ch in "0123456789/-" for ch in text)
-            if k == 0:
-                piece = text
-            else:
-                power = self.var if k == 1 else f"{self.var}^{k}"
-                if ring.is_one(c):
-                    piece = power
-                elif text == "-1":
-                    piece = f"-{power}"
-                elif scalar_like:
-                    piece = f"{text}*{power}"
-                else:
-                    if " + " in text or " - " in text:
-                        text = f"({text})"
-                    piece = f"{text} {power}"
-            if parts and piece.startswith("-"):
-                parts.append(f" - {piece[1:]}")
-            elif parts:
-                parts.append(f" + {piece}")
-            else:
-                parts.append(piece)
-        return "".join(parts) if parts else "0"
+        is_zero = self.ring.is_zero
+        return render_terms([(k, c) for k, c in enumerate(self.coeffs, self.low) if not is_zero(c)],
+                            lambda k: var_power(self.var, k))
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.ring.name}, low={self.low}, order={self.order}, {self.var}; {self})"

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .basis import DividedPowerElem
 from .errors import DomainError
-from .laurent import LaurentPoly, render_terms
+from .laurent import LaurentPoly, render_terms, var_power
 from .report import Check, VerificationReport
 from .series import (
     TruncSeries, bernoulli_minus, geometric_series, laurent_coeff_ring, monomial_coords,
@@ -95,7 +95,7 @@ class GradedTSeries(NamedTuple):
         def mono(k: int) -> str:
             if k == 0:
                 return ""
-            return f"{self.tag.label(k)} {'T' if k == 1 else f'T^{k}'}"
+            return f"{self.tag.label(k)} {var_power('T', k)}"
 
         return render_terms([(k, v) for k, v in enumerate(self.coords, self.low) if v], mono)
 

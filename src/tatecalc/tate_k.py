@@ -226,7 +226,7 @@ class TateKElem:
         num = str(self.num)
         if len(self.num.nums) > 1:
             num = f"({num})"
-        pole = f"(1-q)^-{self.denom_pow}" if self.denom_pow > 1 else "(1-q)^-1"
+        pole = f"(1-q)^-{self.denom_pow}"
         return pole if num == "1" else f"{num} * {pole}"
 
     def __repr__(self) -> str:

@@ -1,11 +1,12 @@
 import os
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tatecalc import laurent, verify
+from tatecalc import cli, laurent, verify
 from tatecalc.errors import (
     DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError,
 )
@@ -143,7 +144,7 @@ def test_a_sum_of_products_spanning_more_than_the_bound_is_refused(monkeypatch):
                                           "exponents$"):
         LaurentPoly("q", {-5: 1, 5: 1}) * shift
     # the span counts the whole sum, not each product alone
-    acc = LaurentPoly.accumulator("q")
+    acc = laurent.DenseAccumulator("q")
     acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {-5: 1}))
     acc.add(LaurentPoly("q", {0: 1}), LaurentPoly("q", {4: 1}))
     with pytest.raises(DomainError):
@@ -362,4 +363,19 @@ def test_verify_all_reads_no_coefficient_view(monkeypatch):
     finally:
         os.sched_setaffinity(0, mask)
     assert reads == []
-    assert str(lp("x", {1: Fraction(1, 2)})) == "1/2*x" and len(reads) == 1  # the count is live
+    assert repr(lp("x", {1: Fraction(1, 2)})) == "LaurentPoly('x', {1: Fraction(1, 2)})"
+    assert len(reads) == 1  # the count is live
+
+
+@pytest.mark.parametrize("golden", ["q_integrality_o16.txt", "q_integrality_o16.json"])
+def test_the_q_integrality_report_reads_no_coefficient_view(monkeypatch, capsys, golden):
+    # its rows are rational polynomials, printed and serialised from nums and den
+    reads = []
+    view = LaurentPoly.coeffs.fget
+    monkeypatch.setattr(LaurentPoly, "coeffs", property(lambda p: reads.append(p) or view(p)))
+    argv = ["report", "q-integrality", "--order", "16"] + (["--json"] if golden.endswith("json") else [])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
+    assert reads == []
+    repr(lp("x", {1: Fraction(1, 2)}))
+    assert len(reads) == 1  # the count is live

@@ -8,7 +8,7 @@ from tatecalc.errors import (
     DomainError, InexactDivisionError, NotInvertibleError, VariableMismatchError,
 )
 from tatecalc.laurent import LaurentPoly
-from tatecalc.multipoly import MultiPoly, RationalFunction
+from tatecalc.multipoly import MultiPoly, RationalFunction, SparseAccumulator
 
 GENS = ("x", "y")
 
@@ -44,7 +44,7 @@ def test_fast_multiplication_matches_reference(a, b):
 @given(st.lists(st.tuples(term_dicts, term_dicts), min_size=1, max_size=4))
 def test_a_sum_of_products_over_several_denominators_matches_the_reference(products):
     # the products' denominators differ, so the sum's common one is an lcm
-    acc = MultiPoly.accumulator(GENS)
+    acc = SparseAccumulator(GENS)
     want = MultiPoly.zero(GENS)
     for a, b in products:
         acc.add(poly(a), poly(b))

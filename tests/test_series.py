@@ -27,7 +27,8 @@ from tatecalc.errors import (
     VariableMismatchError,
 )
 from tatecalc import series
-from tatecalc.laurent import LaurentPoly
+from tatecalc.basis import NumericalPoly
+from tatecalc.laurent import LaurentPoly, render_terms, var_power
 from tatecalc.multipoly import MultiPoly
 from tatecalc.series import (
     QQ,
@@ -647,6 +648,45 @@ def test_rendering_matches_conventions():
     ring = laurent_coeff_ring("c", integral=True)
     g = geometric_series(ring, LaurentPoly("c", {-1: 1}), 2)
     assert str(g) == "1 + c^-1 T + c^-2 T^2"
+
+
+# The coefficient's text -> what the term prints as, alone at x^0, alone at x,
+# after x^-1 at x^0, and after x^-1 at x.
+RENDERED = {
+    "1": ("1", "x", "x^-1 + 1", "x^-1 + x"),
+    "-1": ("-1", "-x", "x^-1 - 1", "x^-1 - x"),
+    "2": ("2", "2*x", "x^-1 + 2", "x^-1 + 2*x"),
+    "-3/2": ("-3/2", "-3/2*x", "x^-1 - 3/2", "x^-1 - 3/2*x"),
+    "b": ("b", "b x", "x^-1 + b", "x^-1 + b x"),
+    "-b": ("-b", "-b x", "x^-1 - b", "x^-1 - b x"),
+    "1 + b": ("1 + b", "(1 + b) x", "x^-1 + 1 + b", "x^-1 + (1 + b) x"),
+    "-1 - b": ("-1 - b", "(-1 - b) x", "x^-1 - 1 - b", "x^-1 + (-1 - b) x"),
+}
+_B_COEFFS = {"1": {0: 1}, "-1": {0: -1}, "-3/2": {0: Fraction(-3, 2)}, "b": {1: 1},
+             "-b": {1: -1}, "1 + b": {0: 1, 1: 1}, "-1 - b": {0: -1, 1: -1}}
+_NUMERICAL_COEFFS = {t: c for t, c in _B_COEFFS.items() if t != "-3/2"}  # integral
+
+
+@pytest.mark.parametrize("ring, coeff, text", [
+    *[(ZZ, v, t) for t, v in (("1", 1), ("-1", -1), ("2", 2))],
+    *[(QQ, Fraction(v), t) for t, v in (("1", 1), ("-1", -1), ("-3/2", Fraction(-3, 2)))],
+    *[(laurent_coeff_ring("b"), LaurentPoly("b", c), t) for t, c in _B_COEFFS.items()],
+    *[(poly_ring("b"), MultiPoly(("b",), {(e,): v for e, v in c.items()}), t)
+      for t, c in _B_COEFFS.items()],
+    *[(series.numerical_ring(), NumericalPoly(c), t) for t, c in _NUMERICAL_COEFFS.items()],
+], ids=lambda p: p.name if isinstance(p, series.Ring) else None)
+def test_one_rule_renders_every_coefficient_kind(ring, coeff, text):
+    # a numerical polynomial prints binom(beta,1) where the others print b
+    label = str(NumericalPoly({1: 1})) if isinstance(coeff, NumericalPoly) else "b"
+    want = [w.replace("b", label) for w in RENDERED[text]]
+    assert str(coeff) == text.replace("b", label)
+    one, zero = ring.one, ring.zero
+    layouts = [([(0, coeff)], [coeff], 0), ([(1, coeff)], [coeff], 1),
+               ([(-1, one), (0, coeff)], [one, coeff], -1),
+               ([(-1, one), (1, coeff)], [one, zero, coeff], -1)]
+    for (terms, coeffs, low), expected in zip(layouts, want):
+        assert render_terms(terms, lambda k: var_power("x", k)) == expected
+        assert str(TruncSeries(ring, low, low + len(coeffs) - 1, coeffs, "x")) == expected
 
 
 def test_json_round_structure():
