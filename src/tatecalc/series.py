@@ -10,13 +10,15 @@ do the arithmetic, by an int too (exp and log divide by n as * Fraction(1, n)),
 and the record supplies what differs between rings (names, constants, exact
 division, inverses, and an accumulator that sums products without normalising
 each one).  The same engine runs over Q, Z, Q[x], Q[x,y], Laurent rings such
-as Q[beta^±1], and numerical polynomials.
+as Q[beta^±1], and numerical polynomials.  `bernoulli_number` owns a table that
+the Bernoulli recurrence extends; `bernoulli_minus` inverts (e^D - 1)/D and
+shares no state with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -506,36 +508,34 @@ def geometric_series(ring: Ring, ratio, order: int) -> TruncSeries:
 
 # -- Bernoulli numbers ------------------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = []
+# B_0, B_1, B_2, ...: read and extended only by bernoulli_number
+_bernoulli: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli_minus(order: int) -> TruncSeries:
     """The series D/(e^D - 1) to the given order, over Q.
 
     Computed by inverting (e^D - 1)/D = sum_k D^k/(k+1)!; the coefficient of
-    D^n is B_n/n!, which feeds the Bernoulli number cache.
+    D^n is B_n/n!.  It shares no state with bernoulli_number.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
     expm1_over = TruncSeries(
         QQ, 0, order, [Fraction(1, factorial(k + 1)) for k in range(order + 1)], var="D"
     )
-    series = expm1_over.inverse()
-    if order >= len(_bernoulli_cache):
-        fact = 1
-        values = []
-        for n in range(order + 1):
-            values.append(series.coeff(n) * fact)
-            fact *= n + 1
-        _bernoulli_cache.clear()
-        _bernoulli_cache.extend(values)
-    return series
+    return expm1_over.inverse()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with the B_1 = -1/2 convention, via the cached generating series."""
+    """B_n with the B_1 = -1/2 convention, from a table that grows one index at a
+    time by B_m = -(1/(m+1)) sum_{k<m} C(m+1, k) B_k, with B_m = 0 for odd m >= 3."""
     if n < 0:
         raise DomainError("Bernoulli index must be non-negative")
-    if n >= len(_bernoulli_cache):
-        bernoulli_minus(max(n, 16))
-    return _bernoulli_cache[n]
+    table = _bernoulli
+    for m in range(len(table), n + 1):
+        if m % 2:
+            table.append(Fraction(0))
+        else:  # C(m+1, 1) B_1 = -(m+1)/2 is the one odd term
+            even = sum(comb(m + 1, k) * table[k] for k in range(0, m, 2))
+            table.append(Fraction(1, 2) - even / (m + 1))
+    return table[n]

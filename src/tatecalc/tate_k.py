@@ -452,14 +452,13 @@ def q_series(order: int) -> TruncSeries:
     T/L = integral_0^1 (1+T)^x dx, the Gregory number
     G_k = (1/k!) sum_l s(k, l)/(l+1), summed in integers over lcm(1..k+1).
     Then q_k = (beta q)_k / beta, whose leading coefficient is beta^-1.  That
-    is one Stirling table, the Bernoulli numbers through B_order (built once
-    per process, then read from their cache) and O(order^2) rationals: 0.06 s
-    at order 128, where the series inverse of `q_hat_inv_poly` takes 2.4 s.
+    is one Stirling table, the Bernoulli numbers through B_order (from the table of
+    `bernoulli_number`, grown by its recurrence) and O(order^2) rationals: 0.06 s at
+    order 128, where the series inverse of `q_hat_inv_poly` takes 2.4 s.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
     stirling = stirling1_rows(order)
-    bernoulli_number(order)  # fills the cache through B_order, once per process
     b_over_n = [(-1) ** n * bernoulli_number(n) / n for n in range(1, order + 1)]  # B+_n/n
     coeffs, lcm_k, fact, prev_fact = [], 1, 1, 1  # lcm(1..k+1), k!, (k-1)!
     for k, (row, prev_row) in enumerate(zip(stirling, [[], *stirling])):

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import tatecalc
-from tatecalc import basis, cli, evaluator, expansions, laurent, tate_k, verify
+from tatecalc import basis, cli, evaluator, expansions, laurent, series, tate_k, verify
 from tatecalc.basis import DividedPowerElem, NumericalPoly
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
 from tatecalc.parser import Num
+from tatecalc.series import TruncSeries
 
 
 def run(capsys, *argv):
@@ -166,6 +167,19 @@ def test_non_ascii_digit_is_a_lex_error(capsys):
 def test_long_sum_within_the_limit_evaluates(capsys):
     code, out, err = run(capsys, "eval", "+".join(["1"] * 200))
     assert (code, out, err) == (0, "200\n", "")
+
+
+def test_forty_rising_bernoulli_indices_cost_one_table_and_no_inversion(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("bernoulli(n) inverted a series")
+
+    monkeypatch.setattr(TruncSeries, "inverse", refuse)
+    results = []
+    for indices in (range(473, 513), range(512, 472, -1)):
+        monkeypatch.setattr(series, "_bernoulli", series._bernoulli[:2])  # as in a fresh process
+        results.append(run(capsys, "eval", "+".join(f"bernoulli({n})" for n in indices)))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
 
 
 def test_usage_error_exit_2(capsys):

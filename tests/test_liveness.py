@@ -88,8 +88,6 @@ ROWS = [
 
 @pytest.mark.parametrize("apply,suite", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
 def test_a_broken_engine_fails_verify_all_in_the_named_suite(monkeypatch, capsys, apply, suite):
-    # a fresh Bernoulli cache, as in a new process, which the broken run may fill
-    monkeypatch.setattr(series, "_bernoulli_cache", [])
     apply(monkeypatch)
     code = main(["verify", "all", "--order", str(ORDER)])
     out = capsys.readouterr().out

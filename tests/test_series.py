@@ -2,7 +2,9 @@
 
 Oracles used here and nowhere in the implementation:
   * Mercator series for log(1 - xT),
-  * the Pascal-recurrence Bernoulli numbers (sum_j C(n+1,j) B_j = 0),
+  * the Pascal-recurrence Bernoulli numbers (sum_j C(n+1,j) B_j = 0) over
+    every j, where the engine's table sums B_1 and the even j alone,
+  * the von Staudt-Clausen theorem over a plain sieve of primes,
   * the brute-force double sum for products of Laurent-tailed series,
   * schoolbook Fraction products of polynomial coefficients, folded into the
     plain product, inverse and division recurrences,
@@ -632,6 +634,66 @@ def test_bernoulli_odd_vanishing():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+@pytest.fixture
+def cold_table(monkeypatch):
+    """bernoulli_number's table as a fresh process starts it, [B_0, B_1]."""
+    monkeypatch.setattr(series, "_bernoulli", series._bernoulli[:2])
+
+
+def test_bernoulli_numbers_equal_the_inverted_series_through_512(cold_table):
+    # the recurrence and the inversion share no code: each is evidence for the other
+    s = bernoulli_minus(512)
+    fact = 1
+    for n in range(513):
+        assert bernoulli_number(n) == s.coeff(n) * fact, n
+        fact *= n + 1
+
+
+def test_a_cold_bernoulli_table_inverts_no_series(cold_table, monkeypatch):
+    def refuse(self):
+        raise AssertionError("bernoulli_number inverted a series")
+
+    monkeypatch.setattr(TruncSeries, "inverse", refuse)
+    assert bernoulli_number(40) == Fraction(-261082718496449122051, 13530)
+
+
+def test_a_broken_bernoulli_minus_leaves_the_numbers_unchanged(cold_table, monkeypatch):
+    # a wrong series, (1 - D)^-1, that writes nothing where bernoulli_number reads
+    monkeypatch.setattr(series, "bernoulli_minus",
+                        lambda order: geometric_series(QQ, Fraction(1), order))
+    assert [bernoulli_number(n) for n in range(25)] == bernoulli_oracle(24)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The sieve of Eratosthenes."""
+    is_prime = [False, False] + [True] * (n - 1)
+    for p in range(2, int(n ** 0.5) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = [False] * len(range(p * p, n + 1, p))
+    return [p for p, flag in enumerate(is_prime) if flag]
+
+
+def von_staudt_clausen_failures(top: int) -> list[int]:
+    """The even m in 2..top where B_m + sum of 1/p over primes p with (p-1) | m is
+    not an integer; the theorem says there are none."""
+    primes = primes_up_to(top + 1)
+    sums = {m: bernoulli_number(m) + sum(Fraction(1, p) for p in primes if m % (p - 1) == 0)
+            for m in range(2, top + 1, 2)}
+    return [m for m, total in sums.items() if total.denominator != 1]
+
+
+def test_von_staudt_clausen_at_every_even_index_through_512():
+    assert von_staudt_clausen_failures(512) == []
+
+
+def test_von_staudt_clausen_fails_on_one_seventh_added_to_b10(monkeypatch):
+    bernoulli_number(512)
+    table = list(series._bernoulli)
+    table[10] += Fraction(1, 7)
+    monkeypatch.setattr(series, "_bernoulli", table)
+    assert von_staudt_clausen_failures(512) == [10]
+
+
 # -- misc -----------------------------------------------------------------------------------
 
 
@@ -743,12 +805,13 @@ def test_equal_series_share_their_order_and_an_int_factor_scales_either_side():
     assert repr(s) == "TruncSeries(ZZ, low=0, order=2, T; 1 + 2*T + 3*T^2)"
 
 
-def test_bernoulli_guards_and_a_cold_cache(monkeypatch):
+def test_bernoulli_guards_and_a_cold_cache(cold_table):
     with pytest.raises(DomainError, match="^order must be non-negative$"):
         bernoulli_minus(-1)
     with pytest.raises(DomainError, match="^Bernoulli index must be non-negative$"):
         bernoulli_number(-1)
-    # as in a fresh process: the first index builds the cache through B_16
-    monkeypatch.setattr(series, "_bernoulli_cache", [])
+    # as in a fresh process: the table grows only to the index asked for
     assert bernoulli_number(2) == Fraction(1, 6)
-    assert len(series._bernoulli_cache) == 17
+    assert series._bernoulli == [1, Fraction(-1, 2), Fraction(1, 6)]
+    assert bernoulli_number(5) == 0
+    assert series._bernoulli[3:] == [0, Fraction(-1, 30), 0]

@@ -107,8 +107,8 @@ def test_renorm_ratios_match_sympy(name, factors):
 
 
 def test_bernoulli_numbers_match_sympy_up_to_the_b1_convention():
-    ours = [bernoulli_number(n) for n in range(31)]
-    theirs = [Fraction(int(sp.bernoulli(n).p), int(sp.bernoulli(n).q)) for n in range(31)]
+    ours = [bernoulli_number(n) for n in range(513)]
+    theirs = [Fraction(int(sp.bernoulli(n).p), int(sp.bernoulli(n).q)) for n in range(513)]
     # sympy 1.12 and later take B_1 = +1/2; the engine takes B_1 = -1/2,
     # the coefficient of D in D/(e^D - 1)
     assert (ours[1], theirs[1]) == (Fraction(-1, 2), Fraction(1, 2))
