@@ -202,10 +202,16 @@ class LaurentPoly:
             self.var, {e + k: n * c for e, n in poly.nums.items()}, poly.den * mono.den)
 
     def __pow__(self, n: int) -> LaurentPoly:
+        """self^n; n < 0 powers the inverse of a unit.  A one-term c*x^e
+        gives c^n*x^(e*n) over den^n in closed form; a longer one squares
+        and multiplies."""
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return LaurentPoly.one(self.var)
+        if len(self.nums) == 1:
+            (e, c), = self.nums.items()
+            return LaurentPoly._from_numerators(self.var, {e * n: c**n}, self.den**n)
         return power(self, n)
 
     def inverse(self) -> LaurentPoly:
@@ -382,12 +388,23 @@ def render_terms(terms: list[tuple[Any, object]], basis: Callable[[Any], str]) -
     A coefficient is anything printable.  With m = basis(key), its text t
     gives t where m is empty, m or -m for t = 1 or -1, t*m for any other t
     of digits, `/` and `-` only (an int or a Fraction), and t m otherwise,
-    with t in brackets when it is a sum.  The sign t leads with joins it."""
+    with t in brackets when it is a sum.  The sign t leads with joins it.
+    An int follows the same rule, written from its sign and magnitude
+    rather than from its text read back."""
     if not terms:
         return "0"
     parts: list[str] = []
     for key, v in terms:
-        mono, text = basis(key), str(v)
+        mono = basis(key)
+        if type(v) is int:
+            mag = -v if v < 0 else v
+            piece = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            if v < 0:
+                parts.append(f" - {piece}" if parts else f"-{piece}")
+            else:
+                parts.append(f" + {piece}" if parts else piece)
+            continue
+        text = str(v)
         if not mono:
             piece = text
         elif text == "1":

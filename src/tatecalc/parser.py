@@ -10,6 +10,12 @@ Grammar (whitespace insensitive):
 
 Errors are machine-readable: every ParseError carries a `code`, the byte
 `offset` into the input, and the `expected` token set.
+
+`tokenize` looks each character up in one punctuation table before it tests
+the character classes, and builds each `Token` with `tuple.__new__`; the
+parser reads each token as a plain (kind, text, pos) triple.  Each bracket
+level costs four frames (expr, term, factor, base), so a nesting past the
+recursion limit raises RecursionError, which the CLI reports.
 """
 
 from __future__ import annotations
@@ -108,42 +114,38 @@ class Token(NamedTuple):
     pos: int
 
 
+# one lookup for each single-character token, before the character-class tests
+_PUNCTUATION = {"+": "OP", "-": "OP", "*": "OP", "/": "OP", "^": "CARET",
+                "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+
 def tokenize(source: str) -> list[Token]:
-    tokens = []
+    tokens: list[Token] = []
+    append, token = tokens.append, tuple.__new__  # a Token without its keyword handling
     i, n = 0, len(source)
     while i < n:
         ch = source[i]
-        if ch.isspace():
+        kind = _PUNCTUATION.get(ch)
+        if kind is not None:
+            append(token(Token, (kind, ch, i)))
             i += 1
-            continue
-        if ch.isdecimal():
-            j = i
+        elif ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and source[j].isdecimal():
                 j += 1
-            tokens.append(Token("NUMBER", source[i:j], i))
+            append(token(Token, ("NUMBER", source[i:j], i)))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(Token("IDENT", source[i:j], i))
+            append(token(Token, ("IDENT", source[i:j], i)))
             i = j
-            continue
-        if ch in "+-*/":
-            tokens.append(Token("OP", ch, i))
-        elif ch == "^":
-            tokens.append(Token("CARET", ch, i))
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, i))
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, i))
-        elif ch == ",":
-            tokens.append(Token("COMMA", ch, i))
         else:
             raise LexError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(Token("EOF", "", n))
+    append(token(Token, ("EOF", "", n)))
     return tokens
 
 
@@ -151,106 +153,107 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent, one method per rule, so each bracket nests four
+    frames (expr, term, factor, base).  Each method reads the token at
+    `self.pos` as (kind, text, pos) and steps `self.pos` past what it takes."""
+
     def __init__(self, source: str):
         self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def _expect(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be of `kind`."""
+        got, text, pos = self.tokens[self.pos]
+        if got != kind:
+            raise ParseError(f"unexpected {got or 'end of input'}", pos, (what,))
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind or 'end of input'}", tok.pos, (what,))
-        return self.advance()
+        return text
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("operator", "end of input"))
+        kind, text, pos = self.tokens[self.pos]
+        if kind != "EOF":
+            raise ParseError(f"trailing input {text!r}", pos, ("operator", "end of input"))
         return e
 
     def expr(self) -> Expr:
         left = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
+        tokens = self.tokens
+        while True:
+            kind, op, _ = tokens[self.pos]
+            if kind != "OP" or op not in "+-":
+                return left
+            self.pos += 1
             left = Bin(op, left, self.term())
-        return left
 
     def term(self) -> Expr:
         left = self.factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
+        tokens = self.tokens
+        while True:
+            kind, op, _ = tokens[self.pos]
+            if kind != "OP" or op not in "*/":
+                return left
+            self.pos += 1
             left = Bin(op, left, self.factor())
-        return left
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
+        tokens = self.tokens
+        if tokens[self.pos][1] == "-":  # only an OP token has the text '-'
+            self.pos += 1
             return Neg(self.factor())
         base = self.base()
-        if self.peek().kind == "CARET":
-            self.advance()
-            sign = 1
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "-":
-                sign = -1
-                self.advance()
-            num = self.expect("NUMBER", "integer exponent")
-            return Pow(base, sign * _integer(num.text, num.pos))
-        return base
+        if tokens[self.pos][0] != "CARET":
+            return base
+        self.pos += 1
+        sign = 1
+        if tokens[self.pos][1] == "-":
+            sign = -1
+            self.pos += 1
+        pos = tokens[self.pos][2]
+        return Pow(base, sign * _integer(self._expect("NUMBER", "integer exponent"), pos))
 
     def base(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Num(_integer(tok.text, tok.pos))
-        if tok.kind == "LPAREN":
-            self.advance()
+        kind, text, pos = self.tokens[self.pos]
+        if kind == "NUMBER":
+            self.pos += 1
+            return Num(_integer(text, pos))
+        if kind == "LPAREN":
+            self.pos += 1
             inner = self.expr()
-            self.expect("RPAREN", "')'")
+            self._expect("RPAREN", "')'")
             return inner
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.peek().kind == "LPAREN":
-                return self.call(tok)
-            indexed = _INDEXED.match(tok.text)
+        if kind == "IDENT":
+            self.pos += 1
+            if self.tokens[self.pos][0] == "LPAREN":
+                return self.call(text, pos)
+            indexed = _INDEXED.match(text)
             if indexed:  # the evaluator reads the index back with int()
-                _integer(indexed.group(2), tok.pos + indexed.start(2))
-            if tok.text in SYMBOLS or indexed:
-                return Sym(tok.text)
-            raise UnknownNameError(f"unknown symbol {tok.text!r}", tok.pos)
+                _integer(indexed.group(2), pos + indexed.start(2))
+            if text in SYMBOLS or indexed:
+                return Sym(text)
+            raise UnknownNameError(f"unknown symbol {text!r}", pos)
         raise ParseError(
-            f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}",
-            tok.pos,
+            f"unexpected {kind if kind != 'EOF' else 'end of input'}",
+            pos,
             ("number", "symbol", "'('", "function"),
         )
 
-    def call(self, name: Token) -> Expr:
-        if name.text not in FUNCTIONS:
-            raise UnknownNameError(f"unknown function {name.text!r}", name.pos)
-        self.expect("LPAREN", "'('")
+    def call(self, name: str, pos: int) -> Expr:
+        if name not in FUNCTIONS:
+            raise UnknownNameError(f"unknown function {name!r}", pos)
+        self.pos += 1  # the '(' that `base` saw
         args: list[Expr] = []
-        if self.peek().kind != "RPAREN":
+        if self.tokens[self.pos][0] != "RPAREN":
             args.append(self.expr())
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while self.tokens[self.pos][0] == "COMMA":
+                self.pos += 1
                 args.append(self.expr())
-        self.expect("RPAREN", "')'")
-        arity = FUNCTIONS[name.text]
+        self._expect("RPAREN", "')'")
+        arity = FUNCTIONS[name]
         if len(args) != arity:
-            raise ArityError(
-                f"{name.text} takes {arity} argument(s), got {len(args)}", name.pos
-            )
-        return Call(name.text, tuple(args))
+            raise ArityError(f"{name} takes {arity} argument(s), got {len(args)}", pos)
+        return Call(name, tuple(args))
 
 
 def _integer(digits: str, offset: int) -> int:

@@ -208,16 +208,21 @@ class TateKElem:
             raise NotInvertibleError(f"{self} is not a unit in Z[q^±1, (1-q)^-1]")
         # self = v q^e (1-q)^(extra - denom_pow); invert each factor
         flips = self.denom_pow - extra
-        inv_num = LaurentPoly("q", {-e: v})
-        if flips >= 0:
-            return TateKElem(inv_num * _one_minus_q_pow(flips), 0)
-        return TateKElem(inv_num, -flips)
+        inv_num = LaurentPoly._from_numerators("q", {-e: v})
+        if flips > 0:
+            return TateKElem._reduced(inv_num * _one_minus_q_pow(flips), 0)
+        return TateKElem._reduced(inv_num, -flips)
 
     def __pow__(self, n: int) -> TateKElem:
+        """self^n; n < 0 needs a unit and powers its inverse.  A one-term
+        numerator c*q^a over (1-q)^d gives c^n*q^(a*n) over (1-q)^(d*n) in
+        closed form; a longer one squares and multiplies."""
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return TateKElem.one()
+        if len(self.num.nums) == 1:
+            return TateKElem._reduced(self.num ** n, self.denom_pow * n)
         return power(self, n)
 
     def __str__(self) -> str:

@@ -48,6 +48,12 @@ CASES = [
     ("eval_partial_fractions.txt", ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)"], 0),
     ("eval_partial_fractions.json",
      ["eval", "partial_fractions((q^-2 - 3*q + 5)*(1-q)^-3)", "--json"], 0),
+    # one-term powers (q^-5, (1-q)^-7, (-2*c)^-3, c^5) and a 78-term integer sum
+    ("eval_beta_product.txt", ["eval", "beta_77*beta_93"], 0),
+    ("eval_unit_powers.txt", ["eval", "(3 - 8*q^-5 + q^2 + 9*q^6)*(1-q)^-7"], 0),
+    ("eval_partial_fractions_powers.json",
+     ["eval", "partial_fractions((3 - 8*q^-5 + q^2 + 9*q^6)*(1-q)^-7)", "--json"], 0),
+    ("eval_c_powers.txt", ["eval", "(-2*c)^-3 + c^5"], 0),
     ("expand_pole2_at1.txt", ["expand", "(1-q)^-2", "--at", "1", "--order", "8"], 0),
     ("expand_qinv_atinf.json", ["expand", "q^-1", "--at", "inf", "--order", "6", "--json"], 0),
     ("expand_mixed_at0.txt", ["expand", MIXED, "--at", "0", "--order", "12"], 0),

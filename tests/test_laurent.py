@@ -379,3 +379,26 @@ def test_the_q_integrality_report_reads_no_coefficient_view(monkeypatch, capsys,
     assert reads == []
     repr(lp("x", {1: Fraction(1, 2)}))
     assert len(reads) == 1  # the count is live
+
+
+class _Printed:
+    """A coefficient that is not an int and prints as the int it holds, so
+    `render_terms` writes it by its text rule."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+
+_INT_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**400, 10**400),
+                        st.integers(-10**12, 10**12))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["", "x", "x^-3", "b_2", "(1-q)^-1"]), _INT_COEFFS),
+                max_size=6))
+def test_an_int_coefficient_renders_as_its_text_would(terms):
+    # the int path writes sign and magnitude; the text path reads str() back
+    as_text = [(mono, _Printed(v)) for mono, v in terms]
+    assert laurent.render_terms(terms, str) == laurent.render_terms(as_text, str)

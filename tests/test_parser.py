@@ -1,6 +1,9 @@
 """Grammar, machine-readable errors, the names an expression uses, and
 round trips through a pretty-printer kept here as the parser's inverse."""
 
+import inspect
+import sys
+
 import pytest
 
 from tatecalc.parser import (
@@ -13,9 +16,11 @@ from tatecalc.parser import (
     ParseError,
     Pow,
     Sym,
+    Token,
     UnknownNameError,
     names_used,
     parse,
+    tokenize,
 )
 
 
@@ -172,3 +177,26 @@ def test_render_parse_round_trip(source):
 ])
 def test_names_used(source, symbols, functions):
     assert names_used(parse(source)) == (symbols, functions)
+
+
+def test_tokenize_returns_tokens():
+    tokens = tokenize("beta_3*(q^-2 + 17)")
+    assert all(type(t) is Token for t in tokens)
+    assert tokens[0] == Token("IDENT", "beta_3", 0) and tokens[0].kind == "IDENT"
+    assert tokens[-1] == Token("EOF", "", 18)
+    assert [t.kind for t in tokens[1:-1]] == [
+        "OP", "LPAREN", "IDENT", "CARET", "OP", "NUMBER", "OP", "NUMBER", "RPAREN"]
+
+
+def test_a_bracket_level_costs_four_frames(capsys):
+    # expr, term, factor and base recurse once per bracket: a nesting that
+    # fills the frames left under the recursion limit at four a level
+    # evaluates, and at a fifth frame a level it would not
+    from tatecalc.cli import main
+
+    depth = (sys.getrecursionlimit() - len(inspect.stack()) - 40) // 4
+    assert depth > 150
+    assert main(["eval", "(" * depth + "q" + ")" * depth]) == 0
+    assert capsys.readouterr().out == "q\n"
+    assert main(["eval", "(" * 10000 + "1" + ")" * 10000]) == 2
+    assert capsys.readouterr() == ("", "error: expression is nested too deeply\n")
