@@ -198,10 +198,8 @@ class _EvalTate(_EvalBase):
         return _ARITH[op](a, b)
 
     def _admit(self, op: str, *operands) -> None:
-        """Refuse unless the operands (one or two) that are not ints are of
-        one type, and that type is one of `kinds`."""
-        kinds = [type(v) for v in operands if not isinstance(v, int)]
-        if kinds[0] not in self.kinds or kinds[-1] is not kinds[0]:
+        kind, *more = {type(v) for v in operands if not isinstance(v, int)}
+        if more or kind not in self.kinds:
             names = " and ".join(type(v).__name__ for v in operands)
             raise EvalError(f"cannot apply {op!r} to {names} in {self.name}")
 

@@ -15,7 +15,6 @@ from math import lcm
 from operator import sub
 from typing import Iterator, NamedTuple
 
-from .arith import power
 from .basis import (
     NotIntegral, NumericalPoly, binom_ints, numerical_mul, stirling1_rows, to_binomial_basis,
 )
@@ -214,16 +213,12 @@ class TateKElem:
         return TateKElem._reduced(inv_num, -flips)
 
     def __pow__(self, n: int) -> TateKElem:
-        """self^n; n < 0 needs a unit and powers its inverse.  A one-term
-        numerator c*q^a over (1-q)^d gives c^n*q^(a*n) over (1-q)^(d*n) in
-        closed form; a longer one squares and multiplies."""
+        """self^n; n < 0 needs a unit and powers its inverse.  Otherwise it
+        is num^n over (1-q)^(d*n): num does not vanish at q = 1 when d > 0,
+        so neither does num^n, and the quotient is already reduced."""
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return TateKElem.one()
-        if len(self.num.nums) == 1:
-            return TateKElem._reduced(self.num ** n, self.denom_pow * n)
-        return power(self, n)
+        return TateKElem._reduced(self.num ** n, self.denom_pow * n)
 
     def __str__(self) -> str:
         if self.denom_pow == 0:
