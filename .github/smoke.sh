@@ -12,6 +12,9 @@
 # `bernoulli(n)` reads one table that its recurrence extends, so forty rising
 # indices must cost one build and print what forty falling ones print; a
 # series inversion per higher index would run for about a minute.
+# A long-lived caller of `main` gets a repeated verdict, and one at an order
+# past the suite's cap, from the verdict memo: each must print the bytes a
+# fresh process prints.
 set -eo pipefail
 export PYTHONPATH=src
 out=$(mktemp -d)
@@ -45,3 +48,21 @@ falling=$(seq -s+ -f 'bernoulli(%g)' 512 -1 473)
 timeout 30 python -m tatecalc.cli eval "$rising" > "$out/rising.txt"
 timeout 30 python -m tatecalc.cli eval "$falling" > "$out/falling.txt"
 cmp "$out/rising.txt" "$out/falling.txt"
+session=("verify rota-baxter --order 8" "verify cartier --order 12"
+         "verify rota-baxter --order 8" "verify cartier --order 12" "verify cartier --order 14")
+python -c '
+import contextlib, sys
+from tatecalc import cli, verify
+out, *queries = sys.argv[1:]
+for i, query in enumerate(queries):
+    with open(f"{out}/session{i}.txt", "w") as f, contextlib.redirect_stdout(f):
+        code = cli.main(query.split())
+    if code:
+        sys.exit(f"{query}: exit {code}")
+if verify._checks.cache_info().hits != 3:
+    sys.exit(f"the last three verdicts were not all memo hits: {verify._checks.cache_info()}")
+' "$out" "${session[@]}"
+for i in "${!session[@]}"; do
+  python -m tatecalc.cli ${session[$i]} > "$out/fresh.txt"
+  cmp "$out/fresh.txt" "$out/session$i.txt"
+done

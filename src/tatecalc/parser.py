@@ -14,8 +14,11 @@ Errors are machine-readable: every ParseError carries a `code`, the byte
 `tokenize` looks each character up in one punctuation table before it tests
 the character classes, and builds each `Token` with `tuple.__new__`; the
 parser reads each token as a plain (kind, text, pos) triple.  Each bracket
-level costs four frames (expr, term, factor, base), so a nesting past the
-recursion limit raises RecursionError, which the CLI reports.
+level costs four frames (expr, term, factor, base), so brackets, a call's
+included, nest at most MAX_NESTING deep: a deeper bracket is a NestingError
+at its offset, raised well before the recursion limit, so that which
+nestings parse does not depend on the caller's stack (up to about 300
+frames deep).
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from .errors import TateCalcError
 
 SYMBOLS = frozenset({"c", "cinv", "b", "q", "qinv", "beta", "T", "u", "s"})
 _INDEXED = re.compile(r"(b|beta)_(\d+)$")
+
+# Brackets, a function call's included, nest at most this deep.  CPython's
+# recursion limit (1000 frames) let 246 levels parse in a fresh process, at
+# four parser frames per level, and fewer under a deeper caller; 100 levels
+# leave room for a caller about 300 frames deep on CPython 3.10 to 3.13.
+MAX_NESTING = 100
 
 # function name -> arity
 FUNCTIONS = {
@@ -69,6 +78,10 @@ class UnknownNameError(ParseError):
 
 class ArityError(ParseError):
     code = "arity"
+
+
+class NestingError(ParseError):
+    code = "nesting"
 
 
 # -- AST ----------------------------------------------------------------------
@@ -155,12 +168,27 @@ def tokenize(source: str) -> list[Token]:
 class _Parser:
     """Recursive descent, one method per rule, so each bracket nests four
     frames (expr, term, factor, base).  Each method reads the token at
-    `self.pos` as (kind, text, pos) and steps `self.pos` past what it takes."""
+    `self.pos` as (kind, text, pos) and steps `self.pos` past what it takes;
+    `self.depth` counts the brackets open there."""
 
     def __init__(self, source: str):
         self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
+
+    def _open(self) -> None:
+        """Step past the '(' at `self.pos`, one bracket level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingError(f"brackets nested deeper than {MAX_NESTING}",
+                               self.tokens[self.pos][2])
+        self.pos += 1
+
+    def _close(self) -> None:
+        """Step past the ')' that closes the innermost open bracket."""
+        self._expect("RPAREN", "')'")
+        self.depth -= 1
 
     def _expect(self, kind: str, what: str) -> str:
         """The text of the next token, which must be of `kind`."""
@@ -219,9 +247,9 @@ class _Parser:
             self.pos += 1
             return Num(_integer(text, pos))
         if kind == "LPAREN":
-            self.pos += 1
+            self._open()
             inner = self.expr()
-            self._expect("RPAREN", "')'")
+            self._close()
             return inner
         if kind == "IDENT":
             self.pos += 1
@@ -242,14 +270,14 @@ class _Parser:
     def call(self, name: str, pos: int) -> Expr:
         if name not in FUNCTIONS:
             raise UnknownNameError(f"unknown function {name!r}", pos)
-        self.pos += 1  # the '(' that `base` saw
+        self._open()  # the '(' that `base` saw
         args: list[Expr] = []
         if self.tokens[self.pos][0] != "RPAREN":
             args.append(self.expr())
             while self.tokens[self.pos][0] == "COMMA":
                 self.pos += 1
                 args.append(self.expr())
-        self._expect("RPAREN", "')'")
+        self._close()
         arity = FUNCTIONS[name]
         if len(args) != arity:
             raise ArityError(f"{name} takes {arity} argument(s), got {len(args)}", pos)

@@ -6,6 +6,17 @@ there is none); `all` aggregates every suite.  Suites are deterministic in
 (order, seed): random elements come from a fresh Random(seed) per suite, so a
 suite reports identically whether run alone or inside `all`.
 
+A process runs each suite once per (suite, effective order, seed, defect):
+`run_suite` takes the checks from the bounded memo `_checks` (256 entries,
+each a tuple of immutable `Check` records of a few hundred bytes), so a
+long-lived caller of `cli.main` gets a repeated verdict without running the
+suite again.  The key holds the order after the cap (`_CAPS`, below), which
+is the only order a suite reads, so `verify cartier --order 14` reuses the
+checks of `--order 12`; the report itself is built on every call and says
+`order=14`.  An input refused, or a suite that raises, stores nothing.  `all`
+fills the memo through the suites this process runs itself; the reports its
+forked workers send back are not stored.
+
 `all` spreads its suites over the CPUs the process may run on
 (`os.sched_getaffinity`): it forks one worker per further CPU, up to one per
 suite beyond the first, and this process and every worker pull suites from
@@ -33,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from math import factorial
 from operator import mul
@@ -462,7 +473,13 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
     coordinate at T^defect in prop1 or prop2 (prop1 within `all`).  Every
     input is checked before any suite runs.  `all` prefixes each suite's identities and notes with
     its name, in suite order, whichever process of its fan-out (`_reports`)
-    ran the suite, so it prints what the suites run alone print."""
+    ran the suite, so it prints what the suites run alone print.
+
+    A suite's checks come from `_checks`, keyed by the order the suite runs
+    at after its cap rather than the order asked for: that is all a suite
+    reads, so orders that cap alike share one entry, and a suite that starts
+    reading the order needs no change here.  The report, with the requested
+    order and the cap's note, is built anew on every call."""
     if order < 1:
         raise TateCalcError("order must be at least 1")
     if name in ("prop2", "all") and order > PROP2_MAX_ORDER:
@@ -484,5 +501,13 @@ def run_suite(name: str, order: int, seed: int, defect: int | None = None) -> Ve
     if name in _CAPS:
         floor, cap, note = _CAPS[name]
         effective, notes = min(max(order, floor), cap), (note,)
-    checks = _SUITES[name](effective, random.Random(seed), defect)
-    return VerificationReport(name, order, tuple(checks), seed, notes)
+    return VerificationReport(name, order, _checks(name, effective, seed, defect), seed, notes)
+
+
+@lru_cache(maxsize=256)
+def _checks(name: str, order: int, seed: int, defect: int | None) -> tuple[Check, ...]:
+    """The checks of suite `name` run at `order` (already capped), a fresh
+    Random(seed) and `defect`, computed once per process: a suite is a pure
+    function of these four, and its `Check` records are immutable, so every
+    caller may share them.  A suite that raises stores nothing."""
+    return tuple(_SUITES[name](order, random.Random(seed), defect))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tatecalc
-from tatecalc import basis, cli, evaluator, expansions, laurent, series, tate_k, verify
+from tatecalc import basis, cli, evaluator, expansions, laurent, parser, series, tate_k, verify
 from tatecalc.basis import DividedPowerElem, NumericalPoly
 from tatecalc.cli import main
 from tatecalc.evaluator import EvalError, _EvalSeries
@@ -104,14 +104,14 @@ def test_basis_negative_power_exit_2(capsys, expr, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("expr", [
-    "+".join(["1"] * 3000),
-    "*".join(["q"] * 3000),
-    "(" * 400 + "1" + ")" * 400,
+@pytest.mark.parametrize("expr,error", [
+    ("+".join(["1"] * 3000), "expression is nested too deeply"),
+    ("*".join(["q"] * 3000), "expression is nested too deeply"),
+    ("(" * 400 + "1" + ")" * 400, "brackets nested deeper than 100 at offset 100"),
 ], ids=["long-sum", "long-product", "nested-parentheses"])
-def test_deep_expression_exit_2(capsys, expr):
+def test_deep_expression_exit_2(capsys, expr, error):
     code, out, err = run(capsys, "eval", expr)
-    assert (code, out, err) == (2, "", "error: expression is nested too deeply\n")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 TOO_LONG = "error: the result has an integer of more than 4300 digits, too long to print\n"
@@ -224,6 +224,7 @@ def test_a_defect_at_either_end_of_the_range_fails_its_suite(capsys, suite, orde
 def test_verify_json_deterministic(capsys):
     args = ["verify", "exactness-h", "--order", "8", "--seed", "3", "--json"]
     code1, out1, _ = run(capsys, *args)
+    verify._checks.cache_clear()  # the second run computes its verdict anew
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
@@ -704,6 +705,11 @@ BOUNDS = {
     "expansions.MAX_ORDER": (
         expansions, 16, ["expand", "1 - q", "--at", "0", "--order", "16"],
         ["expand", "1 - q", "--at", "0", "--order", "17"]),
+    "parser.MAX_NESTING": (
+        parser, None, ["eval", "(" * 100 + "q" + ")" * 100], ["eval", "(" * 101 + "q" + ")" * 101]),
+    "parser.MAX_NESTING in calls": (
+        parser, None, ["eval", "pi_minus(" * 100 + "c" + ")" * 100],
+        ["eval", "pi_minus(" * 101 + "c" + ")" * 101]),
     # the quotient of q^64 - 1 by 1-q spans q^0..q^63, split over q^0..q^64
     "tate_k.MAX_SPLIT_SPAN": (
         tate_k, 64, ["eval", "(q^64 - 1)*(1-q)^-1"], ["eval", "(q^65 - 1)*(1-q)^-1"]),
@@ -736,6 +742,11 @@ SESSION = [
     ["expand", "(1-q)^-1", "--at", "0", "--order", "5"],
     ["report", "corollary-sign", "--order", "8"],
     ["eval", "exp("],
+    # a repeated verdict, and an order past the cap, answered from the verdict memo
+    ["verify", "adams", "--order", "12"],
+    ["verify", "adams", "--order", "12"],
+    ["verify", "cartier", "--order", "12"],
+    ["verify", "cartier", "--order", "14"],
 ]
 
 
@@ -749,7 +760,7 @@ def test_one_session_answers_as_fresh_processes(capsys, monkeypatch):
         proc = subprocess.run([sys.executable, "-m", "tatecalc.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 2, 0, 0, 0, 2]
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0]
     monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
     for _ in range(2):
         assert [run(capsys, *argv) for argv in SESSION] == fresh

@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from tatecalc import parser
 from tatecalc.parser import (
     ArityError,
     Bin,
     Call,
     LexError,
     Neg,
+    NestingError,
     Num,
     ParseError,
     Pow,
@@ -188,15 +190,32 @@ def test_tokenize_returns_tokens():
         "OP", "LPAREN", "IDENT", "CARET", "OP", "NUMBER", "OP", "NUMBER", "RPAREN"]
 
 
-def test_a_bracket_level_costs_four_frames(capsys):
+def test_a_bracket_level_costs_four_frames(capsys, monkeypatch):
     # expr, term, factor and base recurse once per bracket: a nesting that
     # fills the frames left under the recursion limit at four a level
     # evaluates, and at a fifth frame a level it would not
     from tatecalc.cli import main
 
+    monkeypatch.setattr(parser, "MAX_NESTING", 10**6)  # the frames alone bound the nesting
     depth = (sys.getrecursionlimit() - len(inspect.stack()) - 40) // 4
     assert depth > 150
     assert main(["eval", "(" * depth + "q" + ")" * depth]) == 0
     assert capsys.readouterr().out == "q\n"
     assert main(["eval", "(" * 10000 + "1" + ")" * 10000]) == 2
     assert capsys.readouterr() == ("", "error: expression is nested too deeply\n")
+
+
+def call_at_depth(frames, f, *args):
+    """f(*args) called from `frames` more frames on the stack."""
+    return f(*args) if frames == 0 else call_at_depth(frames - 1, f, *args)
+
+
+@pytest.mark.parametrize("opening,inner", [("(", "1"), ("pi_minus(", "c"), ("adams(2, ", "q")])
+def test_brackets_nest_to_the_bound_from_a_deep_caller(opening, inner):
+    at = opening * parser.MAX_NESTING + inner + ")" * parser.MAX_NESTING
+    assert call_at_depth(300, parse, at) == parse(inner if opening == "(" else at)
+    above = opening * (parser.MAX_NESTING + 1) + inner + ")" * (parser.MAX_NESTING + 1)
+    with pytest.raises(NestingError) as err:
+        call_at_depth(300, parse, above)
+    assert err.value.code == "nesting"
+    assert err.value.offset == above.index("(", len(opening) * parser.MAX_NESTING)

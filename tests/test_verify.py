@@ -56,6 +56,88 @@ def test_run_suite_hands_an_uncapped_suite_the_requested_order(name, monkeypatch
         assert report.notes == ()
 
 
+# -- the memo of each suite's checks -------------------------------------------------
+
+
+def count_runs(monkeypatch, name):
+    """The orders suite `name` is run at from now on; it still computes its checks."""
+    runs = []
+    real = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, lambda order, rng, defect:
+                        runs.append(order) or real(order, rng, defect))
+    return runs
+
+
+def test_a_repeated_suite_runs_once_and_reports_alike(monkeypatch):
+    runs = count_runs(monkeypatch, "rota-baxter")
+    first = verify.run_suite("rota-baxter", 8, 1)
+    again = verify.run_suite("rota-baxter", 8, 1)
+    assert runs == [8]
+    assert again == first and str(again) == str(first)
+    verify.run_suite("rota-baxter", 8, 2)  # another seed is another verdict
+    assert runs == [8, 8]
+
+
+@pytest.mark.parametrize("name,order,above", [("cartier", 12, 14), ("adams", 16, 20)])
+def test_orders_that_cap_alike_run_once_and_print_their_own_order(monkeypatch, capsys, name,
+                                                                   order, above):
+    runs = count_runs(monkeypatch, name)
+    assert main(["verify", name, "--order", str(order)]) == 0
+    at_cap = capsys.readouterr().out
+    assert main(["verify", name, "--order", str(above)]) == 0
+    past_cap = capsys.readouterr().out
+    assert runs == [order]
+    assert f" order={order} " in at_cap
+    assert past_cap == at_cap.replace(f" order={order} ", f" order={above} ", 1)
+
+
+@pytest.mark.parametrize("name,order,defect", [
+    ("prop1", 0, None), ("prop2", verify.PROP2_MAX_ORDER + 1, None), ("prop1", 8, 9),
+    ("cartier", 8, 2),
+])
+def test_a_refused_input_raises_on_every_call_and_stores_nothing(monkeypatch, name, order,
+                                                                  defect):
+    runs = count_runs(monkeypatch, name)
+    for _ in range(2):
+        with pytest.raises(TateCalcError):
+            verify.run_suite(name, order, 1, defect=defect)
+    assert runs == []
+    assert verify._checks.cache_info().currsize == 0
+
+
+def test_a_suite_that_raises_stores_nothing(monkeypatch):
+    runs = []
+
+    def broken(order, rng, defect):
+        runs.append(order)
+        raise DomainError("broken")
+
+    monkeypatch.setitem(verify._SUITES, "prop1", broken)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            verify.run_suite("prop1", 8, 1)
+    assert runs == [8, 8]
+    assert verify._checks.cache_info().currsize == 0
+
+
+def test_a_defect_and_a_clean_run_keep_separate_entries():
+    for _ in range(2):
+        assert not verify.run_suite("prop1", 8, 1, defect=2).passed
+        assert verify.run_suite("prop1", 8, 1).passed
+    assert verify._checks.cache_info()[:2] == (2, 2)  # hits, misses
+
+
+def test_the_memo_is_bounded(monkeypatch):
+    maxsize = verify._checks.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 256
+    runs = record_orders(monkeypatch, "rota-baxter")
+    for order in range(1, maxsize + 2):
+        verify.run_suite("rota-baxter", order, 1)
+    assert verify._checks.cache_info().currsize == maxsize
+    verify.run_suite("rota-baxter", 1, 1)  # the oldest entry went first
+    assert runs == [*range(1, maxsize + 2), 1]
+
+
 def rand_laurent_by_randint(rng, var, window):
     coeffs = {}
     for _ in range(rng.randint(1, 5)):
@@ -105,12 +187,16 @@ def set_workers(monkeypatch, n):
 
 @functools.cache
 def suites_run_alone(order, seed):
-    """The `all` report assembled from each suite run alone, in suite order."""
+    """The `all` report assembled from each suite run alone, in suite order.
+    The verdict memo is cleared before and after, so that this reference and
+    the run of `all` it is compared with each compute their checks anew."""
+    verify._checks.cache_clear()
     checks, notes = [], []
     for sub in verify._SUITES:
         rep = verify.run_suite(sub, order, seed)
         checks += [c._replace(identity=f"{sub}/{c.identity}") for c in rep.checks]
         notes += [f"{sub}: {n}" for n in rep.notes]
+    verify._checks.cache_clear()
     return VerificationReport("all", order, tuple(checks), seed, tuple(notes))
 
 
